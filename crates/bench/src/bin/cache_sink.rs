@@ -12,19 +12,16 @@
 //!   no runs at all, every access a full set scan and eviction.
 //!
 //! Stdout is deterministic — reference counts, miss counts, and ratios
-//! only, plus the sampled-vs-exact error panel — so the output is golden
-//! in `scripts/smoke.sh`. Wall-clock throughput goes to
-//! `results/BENCH_pipeline.json` via the shared [`Harness`], never to
-//! stdout. `insns` in that report counts sink *references* here (each
+//! only — so the output is golden in `scripts/smoke.sh`. Wall-clock
+//! throughput goes to `results/BENCH_pipeline.json` via the shared
+//! [`Harness`], never to stdout. `insns` in that report counts sink *references* here (each
 //! pattern is consumed once per sink configuration).
 
-use std::sync::Arc;
 use umi_bench::engine::{Cell, Harness};
 use umi_bench::scale_from_env;
 use umi_cache::{CacheConfig, CacheStats, FullSimulator};
 use umi_hw::{HwCounters, Machine, Platform, PrefetchSetting};
 use umi_ir::{AccessKind, MemAccess, Pc};
-use umi_trace::{store, ExecTrace, TraceWriter};
 use umi_vm::AccessSink;
 use umi_workloads::Scale;
 
@@ -32,8 +29,6 @@ const LINE: u64 = 64;
 /// Accesses per `access_batch` call — the order of a typical per-block
 /// batch from the VM.
 const BATCH: usize = 16;
-/// Set-sampling factor exercised by the error panel.
-const SAMPLE_FACTOR: u32 = 8;
 
 fn hot_loop(refs: usize) -> Vec<MemAccess> {
     // 4 KB working set (half the P4 L1), four references per line per
@@ -117,38 +112,22 @@ const PATTERNS: &[Pattern] = &[
     },
 ];
 
-/// Everything one pattern produces across the four sink configurations.
+/// Everything one pattern produces across the three sink configurations.
 struct Row {
     l1: CacheStats,
     l2: CacheStats,
-    exact_ratio: f64,
-    sampled_ratio: f64,
+    l2_ratio: f64,
     off: HwCounters,
     off_stalls: u64,
     full: HwCounters,
     full_stalls: u64,
 }
 
-/// The pattern's stream as a trace, from the cross-harness cache when
-/// possible: the generator is deterministic, so the capture key only
-/// has to describe it exhaustively. Captured in raw (template) mode —
-/// each `BATCH`-sized chunk becomes one pseudo-block record, so replay
-/// delivers the exact `access_batch` chunking `feed` used to.
-fn pattern_trace(pattern: &Pattern, refs: usize) -> Arc<ExecTrace> {
-    let key = store::context_key(&format!(
-        "cache_sink:{}:refs={refs}:batch={BATCH}",
-        pattern.name
-    ));
-    if let Some(trace) = store::fetch(key) {
-        return trace;
-    }
-    let stream = (pattern.generate)(refs);
-    let mut writer = TraceWriter::new();
+/// Feeds `stream` to `sink` in `BATCH`-sized `access_batch` chunks.
+fn feed(sink: &mut impl AccessSink, stream: &[MemAccess]) {
     for chunk in stream.chunks(BATCH) {
-        writer.access_batch(chunk);
-        writer.end_block_auto();
+        sink.access_batch(chunk);
     }
-    store::publish(writer.finish_raw(key))
 }
 
 fn main() {
@@ -159,25 +138,22 @@ fn main() {
     };
     let mut harness = Harness::new("cache_sink", scale);
     let rows: Vec<Row> = harness.run(PATTERNS, |pattern| {
-        let trace = pattern_trace(pattern, refs);
+        let stream = (pattern.generate)(refs);
 
         let mut exact = FullSimulator::pentium4();
-        trace.replay_into(&mut exact);
-        let mut sampled = FullSimulator::pentium4_sampled(SAMPLE_FACTOR);
-        trace.replay_into(&mut sampled);
+        feed(&mut exact, &stream);
         let mut off = Machine::new(Platform::pentium4(), PrefetchSetting::Off);
-        trace.replay_into(&mut off);
+        feed(&mut off, &stream);
         let mut full = Machine::new(Platform::pentium4(), PrefetchSetting::Full);
-        trace.replay_into(&mut full);
+        feed(&mut full, &stream);
 
         Cell {
             label: pattern.name.to_string(),
-            insns: 4 * trace.summary().accesses,
+            insns: 3 * stream.len() as u64,
             value: Row {
                 l1: exact.l1_stats(),
                 l2: exact.l2_stats(),
-                exact_ratio: exact.l2_miss_ratio(),
-                sampled_ratio: sampled.l2_miss_ratio(),
+                l2_ratio: exact.l2_miss_ratio(),
                 off: off.counters(),
                 off_stalls: off.stall_cycles(),
                 full: full.counters(),
@@ -209,7 +185,7 @@ fn main() {
             r.l1.misses,
             r.l2.accesses,
             r.l2.misses,
-            r.exact_ratio,
+            r.l2_ratio,
             r.off_stalls,
             r.full_stalls,
             r.full.hw_prefetch_fills,
@@ -225,18 +201,5 @@ fn main() {
         assert_eq!(r.off.l2_misses, r.l2.misses, "{}: sink divergence", p.name);
     }
 
-    println!();
-    println!("sampled mode (factor {SAMPLE_FACTOR}) vs exact, L2 miss ratio:");
-    let mut worst = 0.0f64;
-    for (p, r) in PATTERNS.iter().zip(&rows) {
-        let err = (r.sampled_ratio - r.exact_ratio).abs();
-        worst = worst.max(err);
-        println!(
-            "  {:<10} exact {:>7.4}   sampled {:>7.4}   |err| {:>7.4}",
-            p.name, r.exact_ratio, r.sampled_ratio, err
-        );
-    }
-    println!("  worst |err| {worst:.4} (bound: 0.0100)");
-    assert!(worst <= 0.01, "sampled-mode error bound violated");
     harness.finish();
 }

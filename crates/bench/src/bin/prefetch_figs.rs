@@ -1,6 +1,5 @@
 //! Figures 3, 4, 5 and 6 from two shared study passes (one per platform).
-//! Equivalent to running `fig3`..`fig6` individually, at half the cost —
-//! the per-figure binaries remain for selective regeneration.
+//! `fig3` prints Figure 3 alone and is the golden-gated one.
 
 use umi_bench::engine::Harness;
 use umi_bench::study::{prefetch_cells, PrefetchRow};

@@ -5,7 +5,7 @@
 use umi_bench::engine::{Cell, Harness};
 use umi_bench::{mean, scale_from_env};
 use umi_cache::FullSimulator;
-use umi_core::{introspect_cached, PredictionQuality, UmiConfig};
+use umi_core::{PredictionQuality, UmiConfig, UmiRuntime};
 use umi_workloads::all32;
 
 fn main() {
@@ -14,15 +14,12 @@ fn main() {
     let rows: Vec<(f64, PredictionQuality)> = harness.run(&all32(), |spec| {
         let program = spec.build(scale);
 
-        // One capture-or-replay pass: the full simulator rides the UMI
-        // run as its access sink. The DBI forwards the unmodified demand
-        // stream, so the ground truth it accumulates is bit-identical to
-        // a dedicated native pass; replaying a cached trace is
-        // bit-identical to interpreting (the differential tests prove
-        // both identities).
+        // One pass: the full simulator rides the UMI run as its access
+        // sink. The DBI forwards the unmodified demand stream, so the
+        // ground truth it accumulates is bit-identical to a dedicated
+        // native pass (the differential tests prove the identity).
         let mut full = FullSimulator::pentium4();
-        let ci = introspect_cached(&program, &UmiConfig::no_sampling(), &[], &mut full);
-        let report = ci.report;
+        let report = UmiRuntime::new(&program, UmiConfig::no_sampling()).run(&mut full, u64::MAX);
         let truth = full.delinquent_set(0.90);
 
         let q = PredictionQuality::compute(

@@ -32,7 +32,7 @@ use umi_bench::engine::{Cell, Harness};
 use umi_bench::staticplan_audit::audit_staticplan;
 use umi_bench::{geomean, mean, scale_from_env};
 use umi_cache::CacheConfig;
-use umi_core::{introspect_cached, UmiConfig};
+use umi_core::{UmiConfig, UmiRuntime};
 use umi_hw::{Machine, Platform, PrefetchSetting};
 use umi_prefetch::harness::{run_native, RunOutcome};
 use umi_prefetch::{inject_prefetches, static_prefetch_plan, PrefetchPlan};
@@ -106,8 +106,7 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
     // forwards the exact demand stream; overhead cycles are left out —
     // both plans are measured plan-only, through native runs).
     let mut machine_off = Machine::new(platform.clone(), PrefetchSetting::Off);
-    let ci = introspect_cached(program, &config, &[], &mut machine_off);
-    let report = ci.report;
+    let report = UmiRuntime::new(program, config).run(&mut machine_off, u64::MAX);
     insns += report.vm_stats.insns;
     let native_off = RunOutcome {
         cycles: machine_off.total_cycles(report.vm_stats.insns),

@@ -4,7 +4,7 @@
 
 use crate::engine::Cell;
 use umi_cache::{CacheConfig, FullSimulator};
-use umi_core::{introspect_cached, UmiConfig};
+use umi_core::{UmiConfig, UmiRuntime};
 use umi_hw::{Machine, Platform, PrefetchSetting};
 use umi_vm::Tee;
 use umi_workloads::{Scale, WorkloadSpec};
@@ -66,36 +66,27 @@ pub fn corr_cell(spec: &WorkloadSpec, scale: Scale) -> Cell<CorrRow> {
     // the sampled duty cycle is too thin for the analyzer's reuse-based
     // accounting; the bursty mode is the same mechanism at the duty the
     // paper's minutes-long runs would deliver.
-    //
-    // The whole pass is feedback-free, so it runs capture-or-replay
-    // against the cross-harness trace cache: the first harness to reach
-    // a workload interprets it once; everyone after replays the
-    // recorded stream into the same stack.
     let mut k7_cfg = UmiConfig::no_sampling().sim_cache(CacheConfig::k7_l2());
     k7_cfg.sim_l1_filter = CacheConfig::k7_l1d();
 
-    let ci = {
+    let mut umi = UmiRuntime::new(&program, UmiConfig::no_sampling());
+    let k7 = umi.add_shadow_sim(&k7_cfg);
+    let report = {
         let mut pair = Tee(&mut cg, &mut cg_k7);
-        let mut sink = Tee(&mut hw_p4_on, &mut pair);
-        introspect_cached(
-            &program,
-            &UmiConfig::no_sampling(),
-            std::slice::from_ref(&k7_cfg),
-            &mut sink,
-        )
+        umi.run(&mut Tee(&mut hw_p4_on, &mut pair), u64::MAX)
     };
 
     Cell {
         label: spec.name.to_string(),
-        insns: ci.report.vm_stats.insns,
+        insns: report.vm_stats.insns,
         value: CorrRow {
             spec: *spec,
             hw_p4_off: cg.l2_miss_ratio(),
             hw_p4_on: hw_p4_on.counters().l2_miss_ratio(),
             hw_k7: cg_k7.l2_miss_ratio(),
             cachegrind: cg.l2_miss_ratio(),
-            umi_p4: ci.report.umi_miss_ratio,
-            umi_k7: ci.shadow_miss_ratios[0],
+            umi_p4: report.umi_miss_ratio,
+            umi_k7: umi.shadow_sims()[k7].miss_ratio(),
         },
     }
 }

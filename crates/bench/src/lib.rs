@@ -12,9 +12,7 @@
 //! | `table6` | delinquent-load prediction quality |
 //! | `fig2` | runtime overhead (DBI / UMI / UMI+sampling) |
 //! | `fig3` | running time, P4, HW prefetch off, ± SW prefetch |
-//! | `fig4` | running time, AMD K7, ± SW prefetch |
-//! | `fig5` | running time, P4, HW prefetch on: SW / HW / SW+HW |
-//! | `fig6` | L2 misses, P4: SW / HW / SW+HW |
+//! | `prefetch_figs` | Figures 3–6: P4 and K7 running time ± SW prefetch; P4 SW / HW / SW+HW running time and L2 misses |
 //! | `table_static` | static (umi-analyze) vs dynamic classification agreement |
 //! | `table_absint` | must-cache verdicts audited against exact simulation |
 //! | `table_staticplan` | composed miss-bound intervals audited + static-vs-dynamic plan A/B |
@@ -22,10 +20,10 @@
 //! | `ablations` | design-choice ablations from DESIGN.md §5 |
 //!
 //! All binaries accept `UMI_SCALE=test` to run the shrunken workloads
-//! (CI-sized); the default is the full `bench` scale. `UMI_JOBS=<n>`
-//! bounds the experiment engine's worker threads (default: all available
-//! cores); any job count prints byte-identical output — see
-//! [`engine`].
+//! (CI-sized); unset or `UMI_SCALE=bench` is the full scale, and any
+//! other value is an error. `UMI_JOBS=<n>` bounds the experiment
+//! engine's worker threads (default: all available cores); any job count
+//! prints byte-identical output — see [`engine`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,11 +38,30 @@ pub mod study;
 use umi_core::{SamplingMode, UmiConfig};
 use umi_workloads::{Scale, Suite};
 
-/// The workload scale selected by `UMI_SCALE` (`test` or `bench`).
+/// The workload scale selected by `UMI_SCALE` (`test` or `bench`;
+/// unset means `bench`).
+///
+/// Any other value aborts the process with a one-line error, as a bad
+/// `UMI_JOBS` does: a typo must not silently run the full scale.
 pub fn scale_from_env() -> Scale {
-    match std::env::var("UMI_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        _ => Scale::Bench,
+    match parse_scale(std::env::var("UMI_SCALE").ok().as_deref()) {
+        Ok(scale) => scale,
+        Err(msg) => {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The `UMI_SCALE` parse rule, split out so it is testable without
+/// mutating process environment: `None` means unset.
+fn parse_scale(var: Option<&str>) -> Result<Scale, String> {
+    match var {
+        None | Some("bench") => Ok(Scale::Bench),
+        Some("test") => Ok(Scale::Test),
+        Some(v) => Err(format!(
+            "error: UMI_SCALE must be \"test\" or \"bench\", got {v:?}"
+        )),
     }
 }
 
@@ -112,9 +129,23 @@ mod tests {
 
     #[test]
     fn scale_defaults_to_bench() {
-        // The env var is unset in tests (or set to something else).
-        let s = scale_from_env();
-        assert!(matches!(s, Scale::Bench | Scale::Test));
+        assert_eq!(parse_scale(None), Ok(Scale::Bench));
+        assert_eq!(parse_scale(Some("bench")), Ok(Scale::Bench));
+        assert_eq!(parse_scale(Some("test")), Ok(Scale::Test));
+    }
+
+    #[test]
+    fn scale_rejects_unknown_values() {
+        // Typos, case variants, padding and empty are errors, not
+        // "the full scale".
+        for bad in ["bogus", "Test", " test", "", "tests"] {
+            let err = parse_scale(Some(bad)).unwrap_err();
+            assert!(err.contains("UMI_SCALE"), "{err}");
+            assert!(
+                err.contains(&format!("{bad:?}")),
+                "error must echo the value: {err}"
+            );
+        }
     }
 
     #[test]

@@ -59,7 +59,8 @@ const PR7_INTERLEAVED: &[(&str, f64, f64)] = &[
 ];
 
 /// Interleaved A/B wall-clock medians for the trace-cache revision
-/// (capture-once / replay-everywhere, warm `UMI_TRACE_DIR`):
+/// (capture-once / replay-everywhere, warm on-disk trace cache, since
+/// removed):
 /// `(harness, this build, PR 7 binaries)`, same protocol as
 /// [`PR6_INTERLEAVED`]. Harness medians are break-even: after PR 7's
 /// superinstruction work, interpretation is a minority of cell cost
@@ -262,7 +263,7 @@ fn render(entries: &[(String, String)]) -> String {
     interleaved(
         &mut out,
         "pr8_interleaved",
-        "trace cache (warm UMI_TRACE_DIR replay) vs PR 7 binaries: interleaved A/B medians (9 samples each), UMI_SCALE=test, UMI_JOBS=1, single-core container",
+        "trace cache (warm on-disk replay, since removed) vs the superinstruction revision's binaries: interleaved A/B medians (9 samples each), UMI_SCALE=test, UMI_JOBS=1, single-core container",
         "pr7_seconds",
         PR8_INTERLEAVED,
     );
@@ -282,16 +283,7 @@ fn render(entries: &[(String, String)]) -> String {
 /// Best-effort: failures land on stderr, never on stdout and never as a
 /// panic — a missing or read-only `results/` must not fail a harness.
 pub fn record(name: &str, scale: Scale, jobs: usize, wall: f64, stats: &[CellStat]) {
-    record_raw(name, entry_json(name, scale, jobs, wall, stats));
-}
-
-/// Replaces (or adds) `name`'s entry with a caller-built value object.
-///
-/// The body must be a brace-balanced JSON object with no braces inside
-/// string literals (the constraint of the scanner above). Used by
-/// non-harness reporters like `trace_stat`, which measure something
-/// other than per-cell throughput.
-pub fn record_raw(name: &str, body: String) {
+    let body = entry_json(name, scale, jobs, wall, stats);
     let path = std::path::Path::new("results").join("BENCH_pipeline.json");
     let mut entries = std::fs::read_to_string(&path)
         .ok()

@@ -1,9 +1,10 @@
 //! Shared measurement procedure for the prefetching figures (3–6).
 
 use crate::engine::{run_cells, Cell, CellStat};
-use umi_core::{introspect_cached, introspect_traced, UmiConfig, UmiRuntime};
+use umi_core::{UmiConfig, UmiReport, UmiRuntime};
 use umi_hw::{Machine, Platform, PrefetchSetting};
-use umi_prefetch::harness::{run_native_trace, run_umi, RunOutcome};
+use umi_ir::Program;
+use umi_prefetch::harness::{run_umi, RunOutcome};
 use umi_prefetch::{inject_prefetches, PrefetchPlan};
 use umi_vm::Tee;
 use umi_workloads::{all32, Scale, WorkloadSpec};
@@ -31,6 +32,25 @@ pub struct PrefetchRow {
     pub umi_sw_hw: Option<RunOutcome>,
 }
 
+/// One introspection pass over `program` into the prefetch-off machine
+/// `off`, with the prefetch-on machine `on` (when given) riding the same
+/// stream through a [`Tee`]: the setting changes only machine-internal
+/// behaviour, never the stream the machine receives.
+fn introspect_pass(
+    program: &Program,
+    config: &UmiConfig,
+    off: &mut Machine,
+    on: Option<&mut Machine>,
+) -> UmiReport {
+    let mut umi = UmiRuntime::new(program, config.clone());
+    let report = match on {
+        Some(on) => umi.run(&mut Tee(off, on), u64::MAX),
+        None => umi.run(off, u64::MAX),
+    };
+    assert!(umi.finished(), "workload {} did not finish", program.name);
+    report
+}
+
 /// One workload's §8 measurement; `None` when the planner found no
 /// prefetching opportunity (the workload is then not a study row, but
 /// its introspection pass still shows up in the cell stats).
@@ -42,26 +62,19 @@ fn study_cell(
     hw_variants: bool,
 ) -> Cell<Option<PrefetchRow>> {
     let program = spec.build(scale);
-    let mut insns = 0u64;
     // Pass 1: introspection over the unmodified program with the HW
     // model riding as the sink (prefetch off — prefetch does not change
     // what UMI sees anyway; it ignores prefetch side effects). The DBI
     // forwards the exact native demand stream, so this one pass yields
     // the "UMI only" outcome, the plan, AND the native baseline — same
-    // machine state, minus the runtime-overhead cycles. Workloads
-    // without a plan are rejected before any further run. Feedback-free,
-    // so it runs capture-or-replay against the trace cache; the HW
-    // variants re-drive the pass-1 stream through a prefetch-on machine
-    // later, so they force capture even without a cross-process cache.
+    // machine state, minus the runtime-overhead cycles. The native-HW
+    // bar's prefetch-on machine rides the same pass. Workloads without
+    // a plan are rejected before any further run.
     let mut machine_off = Machine::new(platform.clone(), PrefetchSetting::Off);
-    let ci = if hw_variants {
-        introspect_traced(&program, config, &[], &mut machine_off)
-    } else {
-        introspect_cached(&program, config, &[], &mut machine_off)
-    };
-    let report = ci.report;
+    let mut native_hw = hw_variants.then(|| Machine::new(platform.clone(), PrefetchSetting::Full));
+    let report = introspect_pass(&program, config, &mut machine_off, native_hw.as_mut());
     let pass_insns = report.vm_stats.insns;
-    insns += pass_insns;
+    let mut insns = pass_insns;
     let native_off = RunOutcome {
         cycles: machine_off.total_cycles(pass_insns),
         counters: machine_off.counters(),
@@ -81,27 +94,11 @@ fn study_cell(
         };
     }
     let optimized = inject_prefetches(&program, &plan);
-    // Pass 2: introspection over the optimized program. The prefetch-on
-    // machine (Figures 5/6) rides the same pass through a `Tee` — the
-    // setting changes only machine-internal behaviour, never the stream
-    // the sink receives — so both SW-prefetch bars come from one
-    // interpretation. Only the native-HW bar still needs its own run
-    // (nothing else interprets the unmodified program with prefetch on).
+    // Pass 2: introspection over the optimized program, with both
+    // SW-prefetch bars' machines riding it the same way.
     let mut sw_off = Machine::new(platform.clone(), PrefetchSetting::Off);
     let mut sw_hw = hw_variants.then(|| Machine::new(platform.clone(), PrefetchSetting::Full));
-    let mut umi2 = UmiRuntime::new(&optimized, config.clone());
-    let report2 = match sw_hw.as_mut() {
-        Some(hw) => {
-            let mut sink = Tee(&mut sw_off, hw);
-            umi2.run(&mut sink, u64::MAX)
-        }
-        None => umi2.run(&mut sw_off, u64::MAX),
-    };
-    assert!(
-        umi2.finished(),
-        "workload {} did not finish",
-        optimized.name
-    );
+    let report2 = introspect_pass(&optimized, config, &mut sw_off, sw_hw.as_mut());
     let overhead2 = report2.dbi_overhead_cycles + report2.umi_overhead_cycles;
     let pass2_insns = report2.vm_stats.insns;
     insns += pass2_insns;
@@ -115,20 +112,11 @@ fn study_cell(
         counters: hw.counters(),
         insns: pass2_insns,
     });
-    let native_hw = if hw_variants {
-        // Replayed, not re-interpreted: the prefetch setting changes only
-        // machine-internal behaviour, so the pass-1 trace drives the
-        // prefetch-on machine to exactly the state a live run reaches.
-        let trace = ci
-            .trace
-            .as_ref()
-            .expect("traced introspection kept its capture");
-        let out = run_native_trace(trace, platform.clone(), PrefetchSetting::Full);
-        insns += out.insns;
-        Some(out)
-    } else {
-        None
-    };
+    let native_hw = native_hw.map(|hw| RunOutcome {
+        cycles: hw.total_cycles(pass_insns),
+        counters: hw.counters(),
+        insns: pass_insns,
+    });
     Cell {
         label: spec.name.to_string(),
         insns,
@@ -186,7 +174,7 @@ pub fn prefetch_study(scale: Scale, platform: &Platform, config: &UmiConfig) -> 
 }
 
 /// Re-plans a single workload (used by ablations that vary the distance).
-pub fn plan_for(program: &umi_ir::Program, config: UmiConfig, distance_refs: i64) -> PrefetchPlan {
+pub fn plan_for(program: &Program, config: UmiConfig, distance_refs: i64) -> PrefetchPlan {
     let (_, report) = run_umi(program, config, Platform::pentium4(), PrefetchSetting::Off);
     PrefetchPlan::from_report(&report, distance_refs)
 }

@@ -1,165 +1,116 @@
-//! Suite-wide differential test: for every workload, a replayed
-//! introspection run must be *byte-identical* to the live one — same
-//! UMI report, same full-simulator statistics, same hardware-machine
-//! counters, same shadow mini-simulator ratios. This is the identity
-//! the trace cache rests on: if it holds for all 32 workloads, swapping
-//! replay in for live interpretation can never change a golden.
+//! Suite-wide differential test: for every workload, an introspection
+//! run over a replayed trace must be *byte-identical* to the live run
+//! that captured it — same UMI report, same shadow mini-simulator ratio,
+//! same full-simulator statistics, same prefetch-on machine state.
 //!
-//! `UmiReport` deliberately has no `PartialEq` (its per-pc table is an
-//! open-addressed map whose layout is an implementation detail), so
-//! the comparison canonicalizes: every set/map is rendered sorted by
-//! key, scalars exactly.
+//! It also pins the §8 study's native-HW bar to the stream it used to be
+//! measured from: a prefetch-on machine riding the live introspection
+//! pass through a `Tee` must end in exactly the state that replaying the
+//! captured trace into a fresh machine reaches.
 
-use std::fmt::Write as _;
-use umi_core::{introspect_traced, UmiConfig, UmiReport};
+use std::sync::Arc;
+use umi_cache::{CacheConfig, FullSimulator};
+use umi_core::{UmiConfig, UmiReport, UmiRuntime};
+use umi_dbi::{CostModel, DbiRuntime};
 use umi_hw::{Machine, Platform, PrefetchSetting};
+use umi_trace::{store, ReplayCursor, TraceWriter};
+use umi_vm::{BlockSource, Tee};
 use umi_workloads::{all32, Scale};
 
-/// Deterministic rendering of a report: sorted sets/maps, exact floats
-/// (`{:?}` round-trips f64), scalar fields verbatim.
-fn canonical(r: &UmiReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "program={}", r.program_name);
-    let _ = writeln!(out, "umi_miss_ratio={:?}", r.umi_miss_ratio);
+/// What one introspection pass produced.
+struct Pass {
+    report: UmiReport,
+    /// L2 miss ratio of the K7-geometry shadow mini-simulator.
+    shadow_ratio: f64,
+    full: FullSimulator,
+    machine: Machine,
+}
 
-    let mut predicted: Vec<u64> = r.predicted.iter().map(|pc| pc.0).collect();
-    predicted.sort_unstable();
-    let _ = writeln!(out, "predicted={predicted:?}");
-
-    let mut strides: Vec<(u64, String)> = r
-        .strides
-        .iter()
-        .map(|(pc, s)| (pc.0, format!("{s:?}")))
-        .collect();
-    strides.sort_unstable();
-    let _ = writeln!(out, "strides={strides:?}");
-
-    let mut patterns: Vec<(u64, String)> = r
-        .patterns
-        .iter()
-        .map(|(pc, t)| (pc.0, format!("{t:?}")))
-        .collect();
-    patterns.sort_unstable();
-    let _ = writeln!(out, "patterns={patterns:?}");
-
-    let mut per_pc: Vec<(u64, String)> = r
-        .per_pc
-        .iter()
-        .map(|(pc, v)| (pc.0, format!("{v:?}")))
-        .collect();
-    per_pc.sort_unstable();
-    let _ = writeln!(out, "per_pc={per_pc:?}");
-
-    let _ = writeln!(
-        out,
-        "profiles={} invocations={} flushes={} traces={} ops={} loads={} stores={}",
-        r.profiles_collected,
-        r.analyzer_invocations,
-        r.cache_flushes,
-        r.instrumented_traces,
-        r.profiled_ops,
-        r.static_loads,
-        r.static_stores,
-    );
-    let _ = writeln!(
-        out,
-        "umi_cycles={} dbi_cycles={} samples={}",
-        r.umi_overhead_cycles, r.dbi_overhead_cycles, r.samples_taken
-    );
-    let _ = writeln!(out, "vm={:?}", r.vm_stats);
-    let _ = writeln!(out, "dbi={:?}", r.dbi_stats);
-    out
+/// Runs no-sampling introspection over `dbi`'s block source with a K7
+/// shadow mini-simulator, teeing the stream into a P4 full simulator and
+/// a P4 prefetch-on machine.
+fn introspect<'p, X: BlockSource<'p>>(dbi: DbiRuntime<'p, X>) -> (UmiRuntime<'p, X>, Pass) {
+    let mut k7 = UmiConfig::no_sampling().sim_cache(CacheConfig::k7_l2());
+    k7.sim_l1_filter = CacheConfig::k7_l1d();
+    let mut umi = UmiRuntime::with_dbi(dbi, UmiConfig::no_sampling());
+    let shadow = umi.add_shadow_sim(&k7);
+    let mut full = FullSimulator::pentium4();
+    let mut machine = Machine::new(Platform::pentium4(), PrefetchSetting::Full);
+    let report = umi.run(&mut Tee(&mut full, &mut machine), u64::MAX);
+    assert!(umi.finished());
+    let shadow_ratio = umi.shadow_sims()[shadow].miss_ratio();
+    let pass = Pass {
+        report,
+        shadow_ratio,
+        full,
+        machine,
+    };
+    (umi, pass)
 }
 
 #[test]
 fn replay_is_byte_identical_to_live_for_all_workloads() {
-    let scale = Scale::Test;
-    let mut shadow = UmiConfig::no_sampling().sim_cache(umi_cache::CacheConfig::k7_l2());
-    shadow.sim_l1_filter = umi_cache::CacheConfig::k7_l1d();
     for spec in all32() {
-        let program = spec.build(scale);
+        let program = spec.build(Scale::Test);
+        let name = spec.name;
 
-        // First call: cache miss, runs live, captures and publishes
-        // (forced — no `UMI_TRACE_DIR` in the test environment).
-        let mut full_live = umi_cache::FullSimulator::pentium4();
-        let live = introspect_traced(
-            &program,
-            &UmiConfig::no_sampling(),
-            std::slice::from_ref(&shadow),
-            &mut full_live,
-        );
-        assert!(!live.replayed, "{}: first run must be live", spec.name);
+        let mut dbi = DbiRuntime::new(&program, CostModel::default());
+        dbi.attach_tracer(TraceWriter::new());
+        let (mut umi, live) = introspect(dbi);
+        let writer = umi.dbi_mut().take_tracer().expect("tracer attached");
+        let trace = Arc::new(writer.finish(store::program_key(&program), live.report.vm_stats));
 
-        // Second call: same program, must hit the in-memory cache.
-        let mut full_replay = umi_cache::FullSimulator::pentium4();
-        let replay = introspect_traced(
-            &program,
-            &UmiConfig::no_sampling(),
-            std::slice::from_ref(&shadow),
-            &mut full_replay,
-        );
-        assert!(replay.replayed, "{}: second run must replay", spec.name);
+        let cursor = ReplayCursor::new(&program, Arc::clone(&trace)).expect("trace fits program");
+        let (_, replay) = introspect(DbiRuntime::from_source(cursor, CostModel::default()));
 
         // The whole introspection result is identical.
         assert_eq!(
-            canonical(&live.report),
-            canonical(&replay.report),
-            "{}: UMI report diverged under replay",
-            spec.name
+            live.report.canonical(),
+            replay.report.canonical(),
+            "{name}: UMI report diverged under replay"
         );
         assert_eq!(
-            live.shadow_miss_ratios, replay.shadow_miss_ratios,
-            "{}: shadow mini-sim diverged under replay",
-            spec.name
+            live.shadow_ratio, replay.shadow_ratio,
+            "{name}: shadow mini-sim diverged under replay"
         );
 
-        // So is everything the sink saw.
+        // So is everything the full simulator saw.
         assert_eq!(
-            full_live.l1_stats(),
-            full_replay.l1_stats(),
-            "{}: L1 diverged",
-            spec.name
+            live.full.l1_stats(),
+            replay.full.l1_stats(),
+            "{name}: L1 diverged"
         );
         assert_eq!(
-            full_live.l2_stats(),
-            full_replay.l2_stats(),
-            "{}: L2 diverged",
-            spec.name
+            live.full.l2_stats(),
+            replay.full.l2_stats(),
+            "{name}: L2 diverged"
         );
         assert_eq!(
-            full_live.l2_writebacks(),
-            full_replay.l2_writebacks(),
-            "{}: writebacks diverged",
-            spec.name
+            live.full.l2_writebacks(),
+            replay.full.l2_writebacks(),
+            "{name}: writebacks diverged"
         );
 
-        // And a consumer driven purely from the trace (no DBI stack at
-        // all) agrees with one that rode the live run.
-        let mut hw_live = Machine::new(Platform::pentium4(), PrefetchSetting::Full);
-        let mut hw_replay = Machine::new(Platform::pentium4(), PrefetchSetting::Full);
-        let live_trace = live.trace.as_ref().expect("traced run keeps its capture");
-        let replay_trace = replay.trace.as_ref().expect("replay returns its trace");
-        live_trace.replay_into(&mut hw_live);
-        replay_trace.replay_into(&mut hw_replay);
+        // The machine that rode the live pass agrees with the one that
+        // rode the replayed pass, and with one driven purely from the
+        // trace (no DBI stack at all).
+        let mut from_trace = Machine::new(Platform::pentium4(), PrefetchSetting::Full);
+        let summary = trace.replay_into(&mut from_trace);
         assert_eq!(
-            hw_live.counters(),
-            hw_replay.counters(),
-            "{}: machine counters diverged",
-            spec.name
+            summary.stats, live.report.vm_stats,
+            "{name}: trace summary disagrees with live stats"
         );
-        assert_eq!(
-            hw_live.stall_cycles(),
-            hw_replay.stall_cycles(),
-            "{}: machine stalls diverged",
-            spec.name
-        );
-
-        // The trace's summary is the live run's architectural truth.
-        assert_eq!(
-            live_trace.summary().stats,
-            live.report.vm_stats,
-            "{}: trace summary disagrees with live stats",
-            spec.name
-        );
+        for (what, other) in [("replayed pass", &replay.machine), ("trace", &from_trace)] {
+            assert_eq!(
+                live.machine.counters(),
+                other.counters(),
+                "{name}: machine counters diverged from the {what}"
+            );
+            assert_eq!(
+                live.machine.stall_cycles(),
+                other.stall_cycles(),
+                "{name}: machine stalls diverged from the {what}"
+            );
+        }
     }
 }

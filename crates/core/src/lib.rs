@@ -62,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cached;
 mod config;
 mod delinquency;
 mod instrumentor;
@@ -76,7 +75,6 @@ mod selector;
 mod stride;
 mod whatif;
 
-pub use cached::{introspect_cached, introspect_traced, CachedIntrospection};
 pub use config::{SamplingMode, UmiConfig};
 pub use delinquency::DelinquencyTracker;
 pub use instrumentor::{Instrumentor, TraceInstrumentation};

@@ -122,6 +122,44 @@ impl UmiReport {
         ranked.sort_by_key(|pc| (std::cmp::Reverse(self.per_pc.get(*pc).load_misses), *pc));
         ranked
     }
+
+    /// A deterministic rendering of every field, for comparing two
+    /// reports (the type has no `PartialEq`: its per-pc table is an
+    /// open-addressed map whose layout is an implementation detail).
+    /// Sets and maps are sorted by pc, floats printed exactly (`{:?}`
+    /// round-trips an `f64`), scalars verbatim.
+    pub fn canonical(&self) -> String {
+        fn sorted<T: std::fmt::Debug>(it: impl Iterator<Item = (Pc, T)>) -> Vec<(u64, String)> {
+            let mut v: Vec<(u64, String)> = it.map(|(pc, t)| (pc.0, format!("{t:?}"))).collect();
+            v.sort_unstable();
+            v
+        }
+        let mut predicted: Vec<u64> = self.predicted.iter().map(|pc| pc.0).collect();
+        predicted.sort_unstable();
+        format!(
+            "program={}\numi_miss_ratio={:?}\npredicted={predicted:?}\nstrides={:?}\n\
+             patterns={:?}\nper_pc={:?}\n\
+             profiles={} invocations={} flushes={} traces={} ops={} loads={} stores={}\n\
+             umi_cycles={} dbi_cycles={} samples={}\nvm={:?}\ndbi={:?}\n",
+            self.program_name,
+            self.umi_miss_ratio,
+            sorted(self.strides.iter().map(|(pc, s)| (*pc, s))),
+            sorted(self.patterns.iter().map(|(pc, t)| (*pc, t))),
+            sorted(self.per_pc.iter()),
+            self.profiles_collected,
+            self.analyzer_invocations,
+            self.cache_flushes,
+            self.instrumented_traces,
+            self.profiled_ops,
+            self.static_loads,
+            self.static_stores,
+            self.umi_overhead_cycles,
+            self.dbi_overhead_cycles,
+            self.samples_taken,
+            self.vm_stats,
+            self.dbi_stats,
+        )
+    }
 }
 
 #[cfg(test)]

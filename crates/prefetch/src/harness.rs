@@ -44,25 +44,6 @@ pub fn run_native(program: &Program, platform: Platform, setting: PrefetchSettin
     }
 }
 
-/// Native execution replayed from a captured trace: the recorded access
-/// stream straight through the machine model, no interpretation. The
-/// outcome is byte-identical to [`run_native`] on the traced program —
-/// the machine model only consumes the access stream and the retired
-/// instruction count, both of which the trace reproduces exactly.
-pub fn run_native_trace(
-    trace: &umi_trace::ExecTrace,
-    platform: Platform,
-    setting: PrefetchSetting,
-) -> RunOutcome {
-    let mut machine = Machine::new(platform, setting);
-    let summary = trace.replay_into(&mut machine);
-    RunOutcome {
-        cycles: machine.total_cycles(summary.stats.insns),
-        counters: machine.counters(),
-        insns: summary.stats.insns,
-    }
-}
-
 /// Execution under the DBI alone (the first bar of Figure 2).
 pub fn run_dbi(
     program: &Program,

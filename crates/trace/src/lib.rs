@@ -1,10 +1,10 @@
-//! # umi-trace — capture-once / replay-everywhere execution traces
+//! # umi-trace — compact execution traces, captured live and replayed
 //!
 //! The native block/access stream of every UMI workload is
-//! deterministic, yet each harness binary re-interprets the same
-//! programs from scratch — the classic fix is trace-driven simulation.
-//! This crate captures the stream once in a compact binary encoding
-//! and replays it into every consumer:
+//! deterministic, so it can be captured once in a compact binary
+//! encoding and replayed into any consumer in place of interpretation.
+//! The benchmark's replay workload and the replay-vs-live oracles use
+//! this crate; the experiment harnesses always run live.
 //!
 //! * [`TraceWriter`] records a live run — either hooked into the
 //!   execution loop one block at a time ([`TraceWriter::record_block`],
@@ -19,12 +19,10 @@
 //!   contract, so the whole DBI + UMI profiling stack runs unchanged
 //!   on replayed blocks (~the interpreter's share of the wall-clock
 //!   removed).
-//! * [`store`] is the cross-harness cache: per-process in-memory map
-//!   plus an optional checksummed on-disk cache (`UMI_TRACE_DIR`),
+//! * [`store`] saves and loads checksummed trace files in a directory,
 //!   keyed by a content hash of the program ([`store::program_key`]).
-//!   Corrupt, truncated, or version-skewed entries are detected
-//!   ([`TraceError`]) and fall back to live interpretation with a
-//!   one-line warning.
+//!   Corrupt, truncated, or version-skewed entries are detected and
+//!   reported as a typed [`TraceError`].
 //!
 //! The encoding (see the `trace` module docs): a block-template
 //! dictionary, zigzag+varint delta encoding of addresses against each

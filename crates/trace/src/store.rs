@@ -1,27 +1,18 @@
-//! The cross-harness trace cache: a per-process in-memory map plus an
-//! optional on-disk directory (`UMI_TRACE_DIR`), both keyed by a
-//! content hash of the traced program.
+//! Content-keyed trace files: a key derived from the traced program and
+//! atomic save/load of checksummed entries in a directory.
 //!
 //! The native block/access stream of a workload depends only on the
 //! program (which already encodes the workload scale), never on the
 //! UMI configuration driving the profilers — so one trace per
-//! `(workload, scale)` serves every harness. Any validation failure on
-//! a disk entry (truncation, bit rot, version skew, key collision)
-//! logs one line and reports a miss: callers fall back to live
-//! interpretation, which re-captures and overwrites the entry.
+//! `(workload, scale)` serves every consumer. Any validation failure on
+//! a loaded entry (truncation, bit rot, version skew, key collision)
+//! surfaces as a typed [`TraceError`].
 
 use crate::codec::{Fnv, FNV_OFFSET};
 use crate::trace::{ExecTrace, TraceError, TraceKey, FORMAT_VERSION};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
 use umi_ir::Program;
-
-/// Environment variable naming the on-disk trace cache directory.
-/// Unset: the cache is in-memory only (still shared across the cells
-/// of one harness process).
-pub const TRACE_DIR_ENV: &str = "UMI_TRACE_DIR";
 
 /// File extension of on-disk trace entries.
 pub const TRACE_EXT: &str = "umitrace";
@@ -30,11 +21,6 @@ pub const TRACE_EXT: &str = "umitrace";
 /// perturbed) so the two halves of a [`TraceKey`] are independent
 /// hashes of the same content stream.
 const FNV_OFFSET_HI: u64 = FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15;
-
-fn memory() -> &'static Mutex<HashMap<TraceKey, Arc<ExecTrace>>> {
-    static MEM: OnceLock<Mutex<HashMap<TraceKey, Arc<ExecTrace>>>> = OnceLock::new();
-    MEM.get_or_init(|| Mutex::new(HashMap::new()))
-}
 
 struct KeyHasher {
     lo: Fnv,
@@ -97,23 +83,6 @@ pub fn program_key(program: &Program) -> TraceKey {
     h.finish()
 }
 
-/// Content key for a raw (non-program) access stream, e.g. a synthetic
-/// sink benchmark: the caller describes the generator exhaustively in
-/// `context` (pattern name, reference count, batch size, ...).
-pub fn context_key(context: &str) -> TraceKey {
-    let mut h = KeyHasher::new();
-    h.write(context.as_bytes());
-    h.finish()
-}
-
-/// The on-disk cache directory, if `UMI_TRACE_DIR` is set (non-empty).
-pub fn trace_dir() -> Option<PathBuf> {
-    match std::env::var(TRACE_DIR_ENV) {
-        Ok(dir) if !dir.is_empty() => Some(PathBuf::from(dir)),
-        _ => None,
-    }
-}
-
 fn entry_path(dir: &Path, key: TraceKey) -> PathBuf {
     dir.join(format!("{}.{}", key.to_hex(), TRACE_EXT))
 }
@@ -138,45 +107,4 @@ pub fn store_to_dir(dir: &Path, trace: &ExecTrace) -> Result<(), TraceError> {
     let io = |e: std::io::Error| TraceError::Io(e.to_string());
     std::fs::write(&tmp, trace.to_bytes()).map_err(io)?;
     std::fs::rename(&tmp, &path).map_err(io)
-}
-
-/// Look up `key`: in-memory map first, then the `UMI_TRACE_DIR` disk
-/// cache. A disk entry that fails validation is reported in one line
-/// on stderr and treated as a miss (the caller runs live).
-pub fn fetch(key: TraceKey) -> Option<Arc<ExecTrace>> {
-    if let Some(t) = memory().lock().unwrap().get(&key) {
-        return Some(Arc::clone(t));
-    }
-    let dir = trace_dir()?;
-    match load_from_dir(&dir, key) {
-        Ok(Some(trace)) => {
-            let arc = Arc::new(trace);
-            memory().lock().unwrap().insert(key, Arc::clone(&arc));
-            Some(arc)
-        }
-        Ok(None) => None,
-        Err(err) => {
-            eprintln!(
-                "umi-trace: ignoring {}: {err}; falling back to live interpretation",
-                entry_path(&dir, key).display()
-            );
-            None
-        }
-    }
-}
-
-/// Publish a freshly captured trace: always into the in-memory map,
-/// and best-effort onto disk when `UMI_TRACE_DIR` is set.
-pub fn publish(trace: ExecTrace) -> Arc<ExecTrace> {
-    let arc = Arc::new(trace);
-    memory().lock().unwrap().insert(arc.key(), Arc::clone(&arc));
-    if let Some(dir) = trace_dir() {
-        if let Err(err) = store_to_dir(&dir, &arc) {
-            eprintln!(
-                "umi-trace: could not persist trace to {}: {err}",
-                dir.display()
-            );
-        }
-    }
-    arc
 }

@@ -9,7 +9,7 @@
 
 use umi_ir::{AccessKind, BlockId, MemAccess, Pc};
 use umi_testkit::{check, Xoshiro256pp};
-use umi_trace::{store, ExecTrace, TraceWriter};
+use umi_trace::{ExecTrace, TraceKey, TraceWriter};
 use umi_vm::{AccessSink, CollectSink};
 
 /// One synthetic block template.
@@ -123,7 +123,7 @@ fn random_streams_round_trip_bit_exactly() {
     check("trace codec round-trip", 60, |rng| {
         let mut templates = gen_templates(rng);
         let (writer, expected, records) = gen_stream(rng, &mut templates);
-        let key = store::context_key("codec_prop");
+        let key = TraceKey(1);
         let trace = writer.finish_raw(key);
         assert_eq!(trace.summary().records, records);
         assert_eq!(trace.summary().accesses, expected.len() as u64);
@@ -151,7 +151,7 @@ fn batch_boundaries_are_preserved() {
     check("trace batch boundaries", 30, |rng| {
         let mut templates = gen_templates(rng);
         let (writer, _, records) = gen_stream(rng, &mut templates);
-        let trace = writer.finish_raw(store::context_key("codec_prop_batches"));
+        let trace = writer.finish_raw(TraceKey(2));
 
         struct BatchCounter {
             batches: u64,
@@ -186,7 +186,7 @@ fn batch_boundaries_are_preserved() {
 
 #[test]
 fn empty_stream_round_trips() {
-    let key = store::context_key("empty");
+    let key = TraceKey(3);
     let trace = TraceWriter::new().finish_raw(key);
     let bytes = trace.to_bytes();
     let parsed = ExecTrace::from_bytes(&bytes, Some(key)).expect("empty trace parses");
@@ -212,7 +212,7 @@ fn constant_stride_runs_compress() {
             }],
         );
     }
-    let trace = writer.finish_raw(store::context_key("rle"));
+    let trace = writer.finish_raw(TraceKey(4));
     assert!(
         trace.event_bytes() < 32,
         "RLE failed: {} event bytes for 10k constant-stride records",

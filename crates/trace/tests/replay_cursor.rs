@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use umi_ir::{Program, ProgramBuilder, Reg, Width};
-use umi_trace::{store, ReplayCursor, TraceWriter};
+use umi_trace::{store, ExecTrace, ReplayCursor, TraceWriter};
 use umi_vm::{BlockExit, BlockSource, CollectSink, Vm};
 
 /// A program exercising every terminator kind: an outer loop calling a
@@ -46,7 +46,16 @@ fn control_flow_zoo(iters: i64) -> Program {
     pb.finish()
 }
 
-fn capture(program: &Program) -> (Vec<BlockExit>, Vec<umi_ir::MemAccess>, umi_vm::VmStats) {
+/// A live run's block exits, access stream and statistics, plus the
+/// trace captured from it.
+struct Capture {
+    exits: Vec<BlockExit>,
+    accesses: Vec<umi_ir::MemAccess>,
+    stats: umi_vm::VmStats,
+    trace: Arc<ExecTrace>,
+}
+
+fn capture(program: &Program) -> Capture {
     let mut vm = Vm::new(program);
     let mut writer = TraceWriter::new();
     let mut sink = CollectSink::default();
@@ -57,18 +66,21 @@ fn capture(program: &Program) -> (Vec<BlockExit>, Vec<umi_ir::MemAccess>, umi_vm
         exits.push(exit);
     }
     let stats = BlockSource::stats(&vm);
-    let key = store::program_key(program);
-    store::publish(writer.finish(key, stats));
-    (exits, sink.accesses, stats)
+    let trace = Arc::new(writer.finish(store::program_key(program), stats));
+    Capture {
+        exits,
+        accesses: sink.accesses,
+        stats,
+        trace,
+    }
 }
 
 #[test]
 fn cursor_reproduces_the_live_run_exactly() {
     let program = control_flow_zoo(500);
-    let (live_exits, live_accesses, live_stats) = capture(&program);
+    let live = capture(&program);
 
-    let trace = store::fetch(store::program_key(&program)).expect("just published");
-    let mut cursor = ReplayCursor::new(&program, Arc::clone(&trace)).expect("trace fits program");
+    let mut cursor = ReplayCursor::new(&program, live.trace).expect("trace fits program");
     let mut sink = CollectSink::default();
     let mut exits = Vec::new();
     while !cursor.is_finished() {
@@ -82,14 +94,14 @@ fn cursor_reproduces_the_live_run_exactly() {
         exits.push(exit);
     }
 
-    assert_eq!(exits.len(), live_exits.len(), "block count differs");
-    for (i, (a, b)) in live_exits.iter().zip(&exits).enumerate() {
+    assert_eq!(exits.len(), live.exits.len(), "block count differs");
+    for (i, (a, b)) in live.exits.iter().zip(&exits).enumerate() {
         assert_eq!(a.block, b.block, "block id at step {i}");
         assert_eq!(a.next, b.next, "successor at step {i}");
         assert_eq!(a.kind, b.kind, "exit kind at step {i}");
     }
-    assert_eq!(live_accesses, sink.accesses, "access stream differs");
-    assert_eq!(live_stats, cursor.stats(), "statistics differ");
+    assert_eq!(live.accesses, sink.accesses, "access stream differs");
+    assert_eq!(live.stats, cursor.stats(), "statistics differ");
 }
 
 #[test]
@@ -106,8 +118,7 @@ fn cursor_rejects_a_foreign_trace() {
             .ret();
         pb.finish()
     };
-    let (_, _, _) = capture(&p1);
-    let trace = store::fetch(store::program_key(&p1)).expect("published");
+    let trace = capture(&p1).trace;
     // Replaying p1's trace against p2 must be detected, not misreplayed.
     assert!(ReplayCursor::new(&p2, trace).is_err());
 }

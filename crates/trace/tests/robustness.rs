@@ -19,10 +19,15 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// A distinct key per test context.
+fn key_of(context: &str) -> TraceKey {
+    TraceKey(u128::from(umi_trace::codec::fnv64(context.as_bytes())))
+}
+
 /// A small but non-trivial trace: two blocks, strided accesses, an RLE
 /// run, published to `dir`.
 fn make_entry(dir: &Path, context: &str) -> (TraceKey, PathBuf) {
-    let key = store::context_key(context);
+    let key = key_of(context);
     let mut writer = TraceWriter::new();
     for i in 0..200u64 {
         writer.record_block(
@@ -68,7 +73,7 @@ fn pristine_entry_round_trips() {
 #[test]
 fn missing_entry_is_a_clean_miss() {
     let dir = scratch("missing");
-    let key = store::context_key("robustness:never-written");
+    let key = key_of("robustness:never-written");
     assert!(matches!(store::load_from_dir(&dir, key), Ok(None)));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -191,7 +196,7 @@ fn wrong_key_in_filename_is_rejected() {
     // in a shared cache dir) must not replay under the wrong identity.
     let dir = scratch("wrongkey");
     let (_, path) = make_entry(&dir, "robustness:wrongkey-a");
-    let other = store::context_key("robustness:wrongkey-b");
+    let other = key_of("robustness:wrongkey-b");
     let stolen = dir.join(format!("{}.{}", other.to_hex(), store::TRACE_EXT));
     std::fs::rename(&path, &stolen).unwrap();
     match store::load_from_dir(&dir, other) {
@@ -208,7 +213,7 @@ fn garbage_payload_with_valid_checksum_is_malformed_not_panic() {
     // event stream and report Malformed, because replay itself assumes
     // a validated stream.
     let dir = scratch("garbage");
-    let key = store::context_key("robustness:garbage");
+    let key = key_of("robustness:garbage");
     let trace = {
         let mut w = TraceWriter::new();
         w.record_block(
