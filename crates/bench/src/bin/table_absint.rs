@@ -1,15 +1,18 @@
 //! `table_absint`: the must-cache abstract interpreter of `umi-analyze`
 //! audited against exact per-instruction simulation on all 32 workloads.
 //!
-//! The static side ([`umi_analyze::absint_program`]) classifies every
-//! in-loop memory access site AlwaysHit / AlwaysMiss / Persistent /
-//! Unclassified at the paper's Pentium 4 L1/L2 geometry, each verdict
-//! carrying an auditable miss bound. The dynamic side is a
-//! [`umi_cache::FullSimulator`] run with the L1 audit enabled, giving
-//! exact per-pc L1 *and* memory miss counts. The shared audit
-//! ([`umi_bench::absint_audit`]) evaluates every checkable verdict group
-//! against the predicate its verdict promises; a single contradiction
-//! exits non-zero — the verdicts are proofs, not predictions.
+//! The static side ([`umi_analyze::absint_program`], run inside
+//! [`umi_analyze::compose_program`]) classifies every in-loop memory
+//! access site AlwaysHit / AlwaysMiss / Persistent / Unclassified at the
+//! paper's Pentium 4 L1/L2 geometry, each verdict carrying an auditable
+//! miss bound. The static half's one audit
+//! ([`umi_bench::staticplan_audit`]) runs each workload once under exact
+//! simulation with the L1 audit enabled, giving exact per-pc L1 *and*
+//! memory miss counts; its verdict checks
+//! ([`StaticPlanAudit::verdict_checks`](umi_bench::staticplan_audit::StaticPlanAudit::verdict_checks))
+//! evaluate every checkable verdict group against the predicate its
+//! verdict promises. A single contradiction exits non-zero — the
+//! verdicts are proofs, not predictions.
 //!
 //! Coverage is the fraction of in-loop sites with a definite verdict;
 //! the acceptance bar is the macro-average over workloads. A
@@ -19,9 +22,11 @@
 
 use std::collections::BTreeMap;
 use umi_analyze::{render_errors, verify, UnclassifiedReason, Verdict};
-use umi_bench::absint_audit::audit_absint;
 use umi_bench::engine::{Cell, Harness};
+use umi_bench::report::write_results;
 use umi_bench::scale_from_env;
+use umi_bench::staticplan_audit::audit_staticplan;
+use umi_core::UmiConfig;
 use umi_workloads::{all32, Scale};
 
 /// Per-workload audit counts.
@@ -61,9 +66,15 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
         );
     }
 
-    let audit = audit_absint(program);
+    let audit = audit_staticplan(program, UmiConfig::no_sampling().delinquency_floor);
     let mut row = Row::default();
-    for r in audit.rows.iter().filter(|r| r.in_loop) {
+    for r in audit
+        .report
+        .sites
+        .iter()
+        .map(|s| s.behavior)
+        .filter(|r| r.in_loop)
+    {
         row.sites += 1;
         match r.l1 {
             Verdict::AlwaysHit => row.hit += 1,
@@ -76,8 +87,9 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
             }
         }
     }
-    row.checked = audit.checked.len();
-    for v in audit.violations() {
+    let checks = audit.verdict_checks();
+    row.checked = checks.len();
+    for v in checks.iter().filter(|c| !c.ok) {
         row.violations += 1;
         eprintln!("{name}: {:#x} {}", v.pc.0, v.violation_message());
     }
@@ -85,16 +97,11 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
     (row, audit.insns)
 }
 
-/// Serializes the audit as `results/umi_absint.json`. Best-effort: a
-/// read-only checkout must not turn into a harness failure.
+/// Serializes the audit as `results/umi_absint.json`.
 fn write_json(scale: Scale, rows: &[(String, Row)], macro_avg: f64) {
     let mut out = String::new();
     out.push_str("{\n");
-    let scale_name = match scale {
-        Scale::Test => "test",
-        Scale::Bench => "bench",
-    };
-    out.push_str(&format!("  \"scale\": \"{scale_name}\",\n"));
+    out.push_str(&format!("  \"scale\": \"{}\",\n", scale.name()));
     out.push_str(&format!(
         "  \"macro_avg_coverage_percent\": {macro_avg:.1},\n"
     ));
@@ -126,11 +133,7 @@ fn write_json(scale: Scale, rows: &[(String, Row)], macro_avg: f64) {
         ));
     }
     out.push_str("  ]\n}\n");
-    let path = std::path::Path::new("results").join("umi_absint.json");
-    let write = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, out));
-    if let Err(e) = write {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+    write_results("umi_absint.json", &out);
 }
 
 fn main() {

@@ -7,9 +7,10 @@
 //! 1. **Audit gate.** The miss-bound composer
 //!    ([`umi_analyze::compose_program`]) turns per-site must-cache
 //!    verdicts × trip bounds into per-PC and aggregate miss-count
-//!    *intervals*. The shared audit ([`umi_bench::staticplan_audit`])
-//!    replays each workload through the exact [`umi_cache::FullSimulator`]
-//!    and requires every measured count — accesses, L1 misses, memory
+//!    *intervals*. The static half's one audit
+//!    ([`umi_bench::staticplan_audit`], shared with `table_absint` and
+//!    `umi_lint`) runs each workload once under exact simulation and
+//!    requires every measured count — accesses, L1 misses, memory
 //!    misses, per group and in aggregate — to land inside its interval.
 //!    A single escape exits non-zero: the intervals are proofs.
 //! 2. **Plan A/B.** The static planner
@@ -29,6 +30,7 @@
 use std::collections::BTreeSet;
 use umi_analyze::{render_errors, verify};
 use umi_bench::engine::{Cell, Harness};
+use umi_bench::report::write_results;
 use umi_bench::staticplan_audit::audit_staticplan;
 use umi_bench::{geomean, mean, scale_from_env};
 use umi_cache::CacheConfig;
@@ -164,16 +166,11 @@ fn fmt_norm(n: Option<f64>) -> String {
     }
 }
 
-/// Serializes the run as `results/umi_staticplan.json`. Best-effort: a
-/// read-only checkout must not turn into a harness failure.
+/// Serializes the run as `results/umi_staticplan.json`.
 fn write_json(scale: Scale, rows: &[(String, Row)], agree_avg: f64) {
     let mut out = String::new();
     out.push_str("{\n");
-    let scale_name = match scale {
-        Scale::Test => "test",
-        Scale::Bench => "bench",
-    };
-    out.push_str(&format!("  \"scale\": \"{scale_name}\",\n"));
+    out.push_str(&format!("  \"scale\": \"{}\",\n", scale.name()));
     let violations: usize = rows.iter().map(|(_, r)| r.violations).sum();
     out.push_str(&format!("  \"violations\": {violations},\n"));
     out.push_str(&format!(
@@ -207,11 +204,7 @@ fn write_json(scale: Scale, rows: &[(String, Row)], agree_avg: f64) {
         ));
     }
     out.push_str("  ]\n}\n");
-    let path = std::path::Path::new("results").join("umi_staticplan.json");
-    let write = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, out));
-    if let Err(e) = write {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+    write_results("umi_staticplan.json", &out);
 }
 
 fn main() {

@@ -14,17 +14,21 @@
 //! 4. the prefetch pipeline (`PrefetchPlan::from_report` →
 //!    [`inject_prefetches`]) followed by verifier + lints + the plan
 //!    checker ([`check_rewritten`]) on the rewritten program;
-//! 5. the absint soundness gate ([`umi_bench::absint_audit`]): every
-//!    must-cache verdict (AlwaysHit / AlwaysMiss / Persistent) proved by
-//!    [`umi_analyze::absint_program`] over the original *and* the
-//!    rewritten program (hints must never earn residency credit), each
-//!    audited against exact per-pc simulation — a contradicted verdict
-//!    is an Error and fails CI;
-//! 6. the static-bound audit ([`umi_bench::staticplan_audit`]): the
-//!    composed whole-program miss-count intervals (absint verdicts ×
-//!    trip bounds, [`umi_analyze::compose_program`]) checked per
-//!    `(pc, kind)` group and in aggregate against the same exact
-//!    simulation — an escaped interval is likewise an Error.
+//! 5. the absint soundness gate: every must-cache verdict (AlwaysHit /
+//!    AlwaysMiss / Persistent) proved by [`umi_analyze::absint_program`]
+//!    over the original *and* the rewritten program (hints must never
+//!    earn residency credit), audited against exact per-pc simulation —
+//!    a contradicted verdict is an Error and fails CI;
+//! 6. the static-bound audit: the composed whole-program miss-count
+//!    intervals (absint verdicts × trip bounds,
+//!    [`umi_analyze::compose_program`]) of both variants, checked per
+//!    `(pc, kind)` group and in aggregate — an escaped interval is
+//!    likewise an Error.
+//!
+//! Passes 5 and 6 share one audit per variant
+//! ([`umi_bench::staticplan_audit`]): one composition and one exact
+//! simulation, whose verdict checks feed pass 5 and whose intervals feed
+//! pass 6.
 //!
 //! Stdout is the agreement table plus every diagnostic, byte-stable at a
 //! fixed scale (diffed against `results/golden/umi_lint.txt` by
@@ -36,8 +40,8 @@
 use umi_analyze::{
     lint_program, predict_program, render_errors, verify, CacheGeometry, Delinquency, Severity,
 };
-use umi_bench::absint_audit::audit_absint;
 use umi_bench::engine::{Cell, Harness};
+use umi_bench::report::write_results;
 use umi_bench::scale_from_env;
 use umi_bench::staticplan_audit::audit_staticplan;
 use umi_core::{DynamicDelinquency, UmiConfig, UmiRuntime};
@@ -89,7 +93,8 @@ struct Row {
     absint_checked: usize,
     absint_violations: usize,
     /// Composed miss-bound interval groups audited against the same
-    /// simulation (per-pc groups + the aggregate check).
+    /// simulation, over both variants (per-pc groups + one aggregate
+    /// check each).
     staticplan_checked: usize,
     staticplan_violations: usize,
     /// All diagnostics, already stably ordered per pass.
@@ -222,17 +227,19 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
         });
     }
 
-    // The absint soundness gate: every must-cache verdict the abstract
-    // interpreter proves, audited against exact per-pc simulation at the
-    // paper's P4 geometry. Both the original program and its rewritten
-    // variant are audited — the rewrite is the one program shape whose
-    // verdicts `check_rewritten` consumes, and its prefetch hints are
-    // exactly what the simulators ignore. A violation is a soundness bug
-    // in the analysis — always Error severity.
-    for (variant, prog) in [("orig", program), ("rw", &rewritten)] {
-        let audit = audit_absint(prog);
-        row.absint_checked += audit.checked.len();
-        for v in audit.violations() {
+    // Passes 5 and 6 share one audit per variant at the paper's P4
+    // geometry. The rewrite is the one program shape whose verdicts
+    // `check_rewritten` consumes, and its prefetch hints are exactly what
+    // the simulators ignore, so both variants are audited. A violation is
+    // a soundness bug in the analysis — always Error severity.
+    let audits = [("orig", program), ("rw", &rewritten)]
+        .map(|(variant, prog)| (variant, audit_staticplan(prog, floor)));
+
+    // Pass 5: every must-cache verdict against its promised predicate.
+    for (variant, audit) in &audits {
+        let checks = audit.verdict_checks();
+        row.absint_checked += checks.len();
+        for v in checks.iter().filter(|c| !c.ok) {
             row.absint_violations += 1;
             row.findings.push(Finding {
                 variant,
@@ -249,38 +256,37 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
         }
     }
 
-    // The static-bound audit: whole-program miss-count intervals
-    // (absint verdicts × trip bounds) against the same exact simulation.
-    // Original program only — the intervals are composed for it, and the
-    // rewritten variant's verdicts are already covered above.
-    let splan = audit_staticplan(program, floor);
-    row.staticplan_checked = splan.checked.len() + 1; // + the aggregate
-    for v in splan.violations() {
-        row.staticplan_violations += 1;
-        row.findings.push(Finding {
-            variant: "orig",
-            severity: Severity::Error,
-            pc: Some(v.bound.pc.0),
-            kind: "staticplan-bound",
-            message: v.violation_message(),
-            rendered: format!(
-                "{:#x} [error] staticplan-bound: {}",
-                v.bound.pc.0,
-                v.violation_message()
-            ),
-        });
-    }
-    if !splan.aggregate_ok {
-        row.staticplan_violations += 1;
-        row.findings.push(Finding {
-            variant: "orig",
-            severity: Severity::Error,
-            pc: None,
-            kind: "staticplan-bound",
-            message: "aggregate miss-count interval violated".to_string(),
-            rendered: "[error] staticplan-bound: aggregate miss-count interval violated"
-                .to_string(),
-        });
+    // Pass 6: whole-program miss-count intervals (absint verdicts × trip
+    // bounds), per group and in aggregate.
+    for (variant, audit) in &audits {
+        row.staticplan_checked += audit.checked.len() + 1; // + the aggregate
+        for v in audit.violations() {
+            row.staticplan_violations += 1;
+            row.findings.push(Finding {
+                variant,
+                severity: Severity::Error,
+                pc: Some(v.bound.pc.0),
+                kind: "staticplan-bound",
+                message: v.violation_message(),
+                rendered: format!(
+                    "{:#x} [error] staticplan-bound: {}",
+                    v.bound.pc.0,
+                    v.violation_message()
+                ),
+            });
+        }
+        if !audit.aggregate_ok {
+            row.staticplan_violations += 1;
+            row.findings.push(Finding {
+                variant,
+                severity: Severity::Error,
+                pc: None,
+                kind: "staticplan-bound",
+                message: "aggregate miss-count interval violated".to_string(),
+                rendered: "[error] staticplan-bound: aggregate miss-count interval violated"
+                    .to_string(),
+            });
+        }
     }
 
     (row, insns)
@@ -303,15 +309,10 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Serializes the full gate result as `results/umi_lint.json`.
-/// Best-effort: a read-only checkout must not turn into a gate failure.
 fn write_json(scale: Scale, rows: &[(String, Row)], agree: usize, both: usize, errors: usize) {
     let mut out = String::new();
     out.push_str("{\n");
-    let scale_name = match scale {
-        Scale::Test => "test",
-        Scale::Bench => "bench",
-    };
-    out.push_str(&format!("  \"scale\": \"{scale_name}\",\n"));
+    out.push_str(&format!("  \"scale\": \"{}\",\n", scale.name()));
     out.push_str(&format!(
         "  \"agreement\": {{\"agree\": {agree}, \"both_definite\": {both}, \"percent\": {:.1}}},\n",
         if both > 0 {
@@ -377,11 +378,7 @@ fn write_json(scale: Scale, rows: &[(String, Row)], agree: usize, both: usize, e
         out.push_str(&format!("    }}{comma}\n"));
     }
     out.push_str("  ]\n}\n");
-    let path = std::path::Path::new("results").join("umi_lint.json");
-    let write = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, out));
-    if let Err(e) = write {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+    write_results("umi_lint.json", &out);
 }
 
 fn main() {

@@ -19,6 +19,12 @@
 //! | `sensitivity` | §7.2 threshold & profile-length sweeps |
 //! | `ablations` | design-choice ablations from DESIGN.md §5 |
 //!
+//! The static half has one soundness audit, [`staticplan_audit`]: it
+//! composes each program's must-cache verdicts into miss-count intervals
+//! and simulates it once, and `table_absint` (the verdict checks),
+//! `table_staticplan` (the intervals) and `umi_lint` (both, per program
+//! variant) all read that one audit.
+//!
 //! All binaries accept `UMI_SCALE=test` to run the shrunken workloads
 //! (CI-sized); unset or `UMI_SCALE=bench` is the full scale, and any
 //! other value is an error. `UMI_JOBS=<n>` bounds the experiment
@@ -28,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod absint_audit;
 pub mod corr;
 pub mod engine;
 pub mod report;
@@ -56,13 +61,13 @@ pub fn scale_from_env() -> Scale {
 /// The `UMI_SCALE` parse rule, split out so it is testable without
 /// mutating process environment: `None` means unset.
 fn parse_scale(var: Option<&str>) -> Result<Scale, String> {
-    match var {
-        None | Some("bench") => Ok(Scale::Bench),
-        Some("test") => Ok(Scale::Test),
-        Some(v) => Err(format!(
-            "error: UMI_SCALE must be \"test\" or \"bench\", got {v:?}"
-        )),
-    }
+    let Some(v) = var else {
+        return Ok(Scale::Bench);
+    };
+    [Scale::Test, Scale::Bench]
+        .into_iter()
+        .find(|s| s.name() == v)
+        .ok_or_else(|| format!("error: UMI_SCALE must be \"test\" or \"bench\", got {v:?}"))
 }
 
 /// The sampled UMI configuration appropriate for a scale: the paper's

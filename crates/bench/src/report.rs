@@ -101,13 +101,6 @@ fn pr5_baseline(name: &str) -> Option<f64> {
         .map(|(_, s)| *s)
 }
 
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Bench => "bench",
-    }
-}
-
 fn mips(insns: u64, seconds: f64) -> f64 {
     if seconds <= 0.0 {
         return 0.0;
@@ -120,7 +113,7 @@ fn entry_json(name: &str, scale: Scale, jobs: usize, wall: f64, stats: &[CellSta
     let total_insns: u64 = stats.iter().map(|s| s.insns).sum();
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("      \"scale\": \"{}\",\n", scale_name(scale)));
+    out.push_str(&format!("      \"scale\": \"{}\",\n", scale.name()));
     out.push_str(&format!("      \"jobs\": {jobs},\n"));
     out.push_str(&format!("      \"wall_seconds\": {wall:.3},\n"));
     if let Some(base) = pr1_baseline(name) {
@@ -278,10 +271,8 @@ fn render(entries: &[(String, String)]) -> String {
     out
 }
 
-/// Replaces (or adds) `name`'s entry in `results/BENCH_pipeline.json`.
-///
-/// Best-effort: failures land on stderr, never on stdout and never as a
-/// panic — a missing or read-only `results/` must not fail a harness.
+/// Replaces (or adds) `name`'s entry in `results/BENCH_pipeline.json`,
+/// best-effort like [`write_results`].
 pub fn record(name: &str, scale: Scale, jobs: usize, wall: f64, stats: &[CellStat]) {
     let body = entry_json(name, scale, jobs, wall, stats);
     let path = std::path::Path::new("results").join("BENCH_pipeline.json");
@@ -294,8 +285,16 @@ pub fn record(name: &str, scale: Scale, jobs: usize, wall: f64, stats: &[CellSta
         None => entries.push((name.to_string(), body)),
     }
     entries.sort_by(|a, b| a.0.cmp(&b.0));
-    let rendered = render(&entries);
-    let write = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, rendered));
+    write_results("BENCH_pipeline.json", &render(&entries));
+}
+
+/// Writes `contents` to `results/<file>`, creating the directory.
+///
+/// Best-effort: a failure is one warning on stderr, never a panic or a
+/// line on stdout — a read-only checkout must not fail a harness or gate.
+pub fn write_results(file: &str, contents: &str) {
+    let path = std::path::Path::new("results").join(file);
+    let write = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, contents));
     if let Err(e) = write {
         eprintln!("warning: could not write {}: {e}", path.display());
     }

@@ -1,26 +1,25 @@
-//! Soundness property for the abstract cache interpreter.
+//! Soundness property for the static half: the abstract cache
+//! interpreter's verdicts and the composed miss-count intervals.
 //!
-//! [`absint_program`] promises per-site verdicts with auditable miss
-//! bounds; `audit_absint_with` replays the same program through the exact
-//! [`FullSimulator`] and evaluates every checkable verdict group's
-//! predicate. This property drives that audit over *randomized*
-//! geometries (set counts, associativities, line sizes) and randomized
-//! affine kernels (invariant refs, sub-line and line-crossing sweeps,
-//! pointer chases, prefetch hints the simulators ignore, conditional
-//! bodies, two-latch loops, trip counts down to 1), asserting that no
-//! verdict is ever contradicted — the same gate
-//! `umi_lint` runs over the 32-workload suite, minus every assumption
-//! about what the programs look like.
+//! [`compose_program`](umi_analyze::compose_program) runs
+//! [`absint_program`](umi_analyze::absint_program) and composes its
+//! per-site verdicts with trip bounds into per-PC and aggregate
+//! intervals; [`audit_staticplan_with`] replays the same program through
+//! the exact simulator once and checks both: every checkable verdict
+//! group's predicate and every interval. This property drives that audit
+//! over *randomized* geometries (set counts, associativities, line sizes)
+//! and randomized affine kernels (invariant refs, sub-line and
+//! line-crossing sweeps, pointer chases, prefetch hints the simulators
+//! ignore, conditional bodies, two-latch loops, trip counts down to 1),
+//! asserting that no verdict and no interval is ever contradicted — the
+//! same gate `umi_lint` runs over the 32-workload suite, minus every
+//! assumption about what the programs look like.
 
 use umi_analyze::CacheGeometry;
-use umi_bench::absint_audit::audit_absint_with;
+use umi_bench::staticplan_audit::audit_staticplan_with;
 use umi_cache::CacheConfig;
 use umi_ir::{MemRef, Program, ProgramBuilder, Reg, Width};
 use umi_testkit::{check, Xoshiro256pp};
-
-/// Fuel cap per audited run; every generated kernel is a bounded counted
-/// loop, so this is slack, not a truncation.
-const MAX_INSNS: u64 = 1_000_000;
 
 /// A random L1/L2 pair: shared line size (16/32/64), L1 of 2–64 sets and
 /// 1–4 ways, L2 at least as large in both dimensions.
@@ -146,16 +145,23 @@ fn random_kernel(rng: &mut Xoshiro256pp) -> Program {
     pb.finish()
 }
 
+/// The delinquency floor the audit composes with (it only labels groups;
+/// the audited intervals do not depend on it).
+const FLOOR: f64 = 0.10;
+
 #[test]
 fn absint_verdicts_sound_under_random_geometries_and_kernels() {
     let mut classified = 0u64;
     let mut hits = 0u64;
+    let mut intervals = 0u64;
+    let mut bounded = 0u64;
     check("absint-soundness", 256, |rng| {
         let program = random_kernel(rng);
         assert_eq!(program.validate(), Ok(()));
         let (l1, l2) = random_geometries(rng);
-        let audit = audit_absint_with(&program, l1, l2, MAX_INSNS);
-        if let Some(v) = audit.violations().next() {
+        let audit = audit_staticplan_with(&program, l1, l2, FLOOR);
+        let checks = audit.verdict_checks();
+        if let Some(v) = checks.iter().find(|c| !c.ok) {
             panic!(
                 "geometry {:?}: {:#x} {}",
                 l1.geometry(),
@@ -163,19 +169,37 @@ fn absint_verdicts_sound_under_random_geometries_and_kernels() {
                 v.violation_message()
             );
         }
-        classified += audit.checked.len() as u64;
-        hits += audit
-            .checked
+        if let Some(v) = audit.violations().next() {
+            panic!(
+                "geometry {:?}: {:#x} {}",
+                l1.geometry(),
+                v.bound.pc.0,
+                v.violation_message()
+            );
+        }
+        assert!(
+            audit.aggregate_ok,
+            "geometry {:?}: aggregate interval violated",
+            l1.geometry()
+        );
+        classified += checks.len() as u64;
+        hits += checks
             .iter()
             .filter(|c| c.verdict == umi_analyze::Verdict::AlwaysHit)
             .count() as u64;
+        intervals += audit.checked.len() as u64;
+        bounded += audit.checked.iter().filter(|c| c.bound.bounded).count() as u64;
     });
-    // The property is vacuous if the interpreter never proves anything
-    // on random kernels; require a healthy amount of audited claims
-    // (the fixed seed schedule currently yields 200 groups, 117 of them
-    // AlwaysHit).
+    // The property is vacuous if the analyses never prove anything on
+    // random kernels; require a healthy amount of audited claims (the
+    // fixed seed schedule currently yields 200 verdict groups, 117 of
+    // them AlwaysHit, and 841 interval groups, all of them bounded).
     assert!(
         classified >= 100 && hits >= 50,
         "too few audited verdicts ({classified} groups, {hits} AlwaysHit)"
+    );
+    assert!(
+        intervals >= 400 && bounded >= 400,
+        "too few audited intervals ({intervals} groups, {bounded} bounded)"
     );
 }

@@ -31,6 +31,17 @@ pub struct Xoshiro256pp {
     s: [u64; 4],
 }
 
+/// FNV-1a over `name`: decorrelates the streams of differently named
+/// generators and properties.
+fn name_hash(name: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in name.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
@@ -51,6 +62,12 @@ impl Xoshiro256pp {
                 splitmix64(&mut sm),
             ],
         }
+    }
+
+    /// Creates a generator seeded from a name (FNV-1a over its bytes), so
+    /// a named table or workload is reproducible bit for bit.
+    pub fn from_name(name: &str) -> Xoshiro256pp {
+        Xoshiro256pp::seed_from_u64(name_hash(name))
     }
 
     /// The next 64 uniformly distributed bits.
@@ -142,12 +159,7 @@ pub const DEFAULT_CASES: usize = 256;
 /// The seed schedule is fixed (derived from the property name), so a
 /// failure is reproducible by rerunning the same test.
 pub fn check<F: FnMut(&mut Xoshiro256pp)>(name: &str, cases: usize, mut prop: F) {
-    // FNV-1a over the name decorrelates seed schedules between properties.
-    let mut base: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        base ^= b as u64;
-        base = base.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let base = name_hash(name);
     for case in 0..cases {
         let seed = base.wrapping_add(case as u64);
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -181,6 +193,15 @@ mod tests {
         assert_eq!(va, vb);
         let mut c = Xoshiro256pp::seed_from_u64(8);
         assert_ne!(va, (0..16).map(|_| c.next_u64()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn from_name_is_deterministic_per_name() {
+        let mut a = Xoshiro256pp::from_name("181.mcf");
+        let mut b = Xoshiro256pp::from_name("181.mcf");
+        assert_eq!(a.vec_below(32, 32, 1000), b.vec_below(32, 32, 1000));
+        let mut c = Xoshiro256pp::from_name("179.art");
+        assert_ne!(a.vec_below(32, 32, 1000), c.vec_below(32, 32, 1000));
     }
 
     #[test]

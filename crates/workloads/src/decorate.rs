@@ -14,8 +14,8 @@
 //! The noise is deterministic per workload name, cache-hot (a few stack
 //! lines), and touches only `R12`/`R13`, which no kernel uses.
 
-use crate::rng::TableRng;
 use umi_ir::{Insn, MemRef, Operand, Program, Reg, Width};
+use umi_testkit::Xoshiro256pp;
 
 /// Number of 8-byte scratch slots below `ebp` used by the spill noise.
 const SPILL_SLOTS: i64 = 8;
@@ -31,7 +31,7 @@ const GLOBAL_SLOTS: u64 = 16 * 1024;
 /// the mix is chosen so that roughly one in four or five memory
 /// operations survives UMI's filter, as in the paper's Table 3.
 pub fn add_abi_noise(program: &mut Program, name: &str) {
-    let mut rng = TableRng::from_name(name);
+    let mut rng = Xoshiro256pp::from_name(name);
     let globals = program.reserve_static(64 * 8);
     let global_array = program.reserve_static((GLOBAL_SLOTS * 8) as usize);
     for block in &mut program.blocks {

@@ -1,7 +1,7 @@
 //! Pointer-chasing kernel (`181.mcf`, Olden `em3d`/`health`-class).
 
-use crate::rng::TableRng;
 use umi_ir::{Program, ProgramBuilder, Reg, Width, STATIC_BASE};
+use umi_testkit::Xoshiro256pp;
 
 /// Parameters of the pointer-chase kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,7 +38,7 @@ pub fn chase(name: &str, p: ChaseParams) -> Program {
 
     // Build the node arena. The arena base is the *next* 64-aligned
     // address in the static region; `ProgramBuilder::data` guarantees it.
-    let mut rng = TableRng::from_name(name);
+    let mut rng = Xoshiro256pp::from_name(name);
     let order = if p.shuffled {
         rng.permutation(p.nodes)
     } else {
@@ -113,7 +113,7 @@ mod tests {
         vm.run(&mut NullSink, u64::MAX);
         let esi = vm.reg(Reg::ESI) as u64;
         // Recompute the head.
-        let mut rng = TableRng::from_name("cycle");
+        let mut rng = Xoshiro256pp::from_name("cycle");
         let order = rng.permutation(n);
         let head = STATIC_BASE + order[0] * 64;
         assert_eq!(esi, head, "walker did not complete the cycle");

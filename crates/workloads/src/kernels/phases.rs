@@ -1,7 +1,7 @@
 //! Dynamic multi-phase kernel (`197.parser`, `300.twolf`-class).
 
-use crate::rng::TableRng;
 use umi_ir::{Program, ProgramBuilder, Reg, Width};
+use umi_testkit::Xoshiro256pp;
 
 /// Parameters of the multi-phase kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,8 +34,8 @@ pub fn phases(name: &str, p: PhasesParams) -> Program {
     pb.name(name);
     let f = pb.begin_func("main");
 
-    let mut rng = TableRng::from_name(name);
-    let control: Vec<u64> = rng.indices(p.sentences, u64::MAX);
+    let mut rng = Xoshiro256pp::from_name(name);
+    let control: Vec<u64> = (0..p.sentences).map(|_| rng.below(u64::MAX)).collect();
     let control_seg = pb.data_words(&control);
     let arenas: Vec<u64> = (0..p.variants).map(|_| pb.bss(p.slots * 8)).collect();
 

@@ -1,7 +1,7 @@
 //! Sparse matrix–vector kernel (`183.equake`, `450.soplex`-class).
 
-use crate::rng::TableRng;
 use umi_ir::{Program, ProgramBuilder, Reg, Width};
+use umi_testkit::Xoshiro256pp;
 
 /// Parameters of the sparse mat-vec kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,8 +29,10 @@ pub fn spmv(name: &str, p: SpmvParams) -> Program {
     pb.name(name);
     let f = pb.begin_func("main");
 
-    let mut rng = TableRng::from_name(name);
-    let colidx = rng.indices(p.rows * p.nnz, p.x_elems as u64);
+    let mut rng = Xoshiro256pp::from_name(name);
+    let colidx: Vec<u64> = (0..p.rows * p.nnz)
+        .map(|_| rng.below(p.x_elems as u64))
+        .collect();
     let colidx_seg = pb.data_words(&colidx);
     let x = pb.bss(p.x_elems * 8);
     let y = pb.bss(p.rows * 8);

@@ -37,9 +37,7 @@
 
 mod decorate;
 pub mod kernels;
-mod rng;
 mod suite;
 
 pub use decorate::add_abi_noise;
-pub use rng::TableRng;
 pub use suite::{all32, build, cfp2000, cint2000, olden, spec2006, Scale, Suite, WorkloadSpec};

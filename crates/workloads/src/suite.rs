@@ -35,6 +35,15 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The scale's `UMI_SCALE` spelling, also written into every results
+    /// file: `"test"` or `"bench"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Test => "test",
+            Scale::Bench => "bench",
+        }
+    }
+
     /// Scales an iteration-type quantity.
     fn n(self, base: usize) -> usize {
         match self {

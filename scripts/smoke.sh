@@ -10,7 +10,9 @@
 # agreement drops below its bar, which aborts this script before the
 # golden comparison. table_absint likewise exits non-zero when exact
 # simulation contradicts any must-analysis verdict, and table_staticplan
-# when any composed miss-count interval is escaped (the soundness gates).
+# when any composed miss-count interval is escaped (the soundness gates;
+# all three share one static audit, umi_bench::staticplan_audit, and
+# umi_lint runs it on the original and the prefetch-rewritten program).
 #
 # Run from the repository root: scripts/smoke.sh
 set -eu
