@@ -12,12 +12,11 @@
 //!   no runs at all, every access a full set scan and eviction.
 //!
 //! Stdout is deterministic — reference counts, miss counts, and ratios
-//! only — so the output is golden in `scripts/smoke.sh`. Wall-clock
-//! throughput goes to `results/BENCH_pipeline.json` via the shared
-//! [`Harness`], never to stdout. `insns` in that report counts sink *references* here (each
-//! pattern is consumed once per sink configuration).
+//! only — so the output is golden in `scripts/smoke.sh`. It prints no
+//! wall-clock; the sinks' speed is measured by the benchmark
+//! (`perfbench/`, its `cache.*` and `hw.*` layer metrics).
 
-use umi_bench::engine::{Cell, Harness};
+use umi_bench::engine::{jobs_from_env, run_cells};
 use umi_bench::scale_from_env;
 use umi_cache::{CacheConfig, CacheStats, FullSimulator};
 use umi_hw::{HwCounters, Machine, Platform, PrefetchSetting};
@@ -132,12 +131,12 @@ fn feed(sink: &mut impl AccessSink, stream: &[MemAccess]) {
 
 fn main() {
     let scale = scale_from_env();
+    let jobs = jobs_from_env();
     let refs = match scale {
         Scale::Bench => 2_000_000usize,
         Scale::Test => 250_000,
     };
-    let mut harness = Harness::new("cache_sink", scale);
-    let rows: Vec<Row> = harness.run(PATTERNS, |pattern| {
+    let rows: Vec<Row> = run_cells(jobs, PATTERNS, |pattern| {
         let stream = (pattern.generate)(refs);
 
         let mut exact = FullSimulator::pentium4();
@@ -147,18 +146,14 @@ fn main() {
         let mut full = Machine::new(Platform::pentium4(), PrefetchSetting::Full);
         feed(&mut full, &stream);
 
-        Cell {
-            label: pattern.name.to_string(),
-            insns: 3 * stream.len() as u64,
-            value: Row {
-                l1: exact.l1_stats(),
-                l2: exact.l2_stats(),
-                l2_ratio: exact.l2_miss_ratio(),
-                off: off.counters(),
-                off_stalls: off.stall_cycles(),
-                full: full.counters(),
-                full_stalls: full.stall_cycles(),
-            },
+        Row {
+            l1: exact.l1_stats(),
+            l2: exact.l2_stats(),
+            l2_ratio: exact.l2_miss_ratio(),
+            off: off.counters(),
+            off_stalls: off.stall_cycles(),
+            full: full.counters(),
+            full_stalls: full.stall_cycles(),
         }
     });
 
@@ -200,6 +195,4 @@ fn main() {
         assert_eq!(r.off.l1_misses, r.l1.misses, "{}: sink divergence", p.name);
         assert_eq!(r.off.l2_misses, r.l2.misses, "{}: sink divergence", p.name);
     }
-
-    harness.finish();
 }

@@ -2,7 +2,7 @@
 //! DynamoRIO alone, UMI without sampling, and UMI with sampling, each
 //! normalized to native execution.
 
-use umi_bench::engine::{Cell, Harness};
+use umi_bench::engine::{jobs_from_env, run_cells};
 use umi_bench::{geomean, sampled_config, scale_from_env};
 use umi_core::UmiConfig;
 use umi_hw::{Platform, PrefetchSetting};
@@ -19,8 +19,8 @@ struct Row {
 
 fn main() {
     let scale = scale_from_env();
-    let mut harness = Harness::new("fig2", scale);
-    let rows: Vec<Row> = harness.run(&all32(), |spec| {
+    let jobs = jobs_from_env();
+    let rows: Vec<Row> = run_cells(jobs, &all32(), |spec| {
         let program = spec.build(scale);
         let platform = Platform::pentium4();
         let setting = PrefetchSetting::Full;
@@ -35,16 +35,12 @@ fn main() {
         );
         let (smp, smp_report) = run_umi(&program, sampled_config(scale), platform, setting);
 
-        Cell {
-            label: spec.name.to_string(),
-            insns: native.insns + dbi.insns + nos.insns + smp.insns,
-            value: Row {
-                dbi: dbi.relative_to(&native),
-                nosamp: nos.relative_to(&native),
-                sampled: smp.relative_to(&native),
-                residency: dbi_stats.trace_cache_residency(),
-                traces: smp_report.dbi_stats.traces_built,
-            },
+        Row {
+            dbi: dbi.relative_to(&native),
+            nosamp: nos.relative_to(&native),
+            sampled: smp.relative_to(&native),
+            residency: dbi_stats.trace_cache_residency(),
+            traces: smp_report.dbi_stats.traces_built,
         }
     });
 
@@ -76,5 +72,4 @@ fn main() {
     );
     println!("(paper: DBI < 1.13 average; UMI with sampling ~1.14, i.e. +1% over DBI;");
     println!(" sampling helps most where trace-cache residency is poor, e.g. gcc)");
-    harness.finish();
 }

@@ -2,22 +2,23 @@
 //! disabled — UMI introspection alone vs introspection + software
 //! prefetching, normalized to native execution (lower is better).
 
-use umi_bench::engine::Harness;
+use umi_bench::engine::jobs_from_env;
 use umi_bench::study::prefetch_cells;
 use umi_bench::{geomean, sampled_config, scale_from_env};
 use umi_hw::Platform;
+use umi_workloads::all32;
 
 fn main() {
     let scale = scale_from_env();
-    let mut harness = Harness::new("fig3", scale);
-    let (rows, stats) = prefetch_cells(
+    let jobs = jobs_from_env();
+    let rows = prefetch_cells(
+        &all32(),
         scale,
         &Platform::pentium4(),
         &sampled_config(scale),
         false,
-        harness.jobs(),
+        jobs,
     );
-    harness.absorb(stats);
     println!("Figure 3 — Running time on Pentium 4, HW prefetch disabled");
     println!(
         "{:<14} {:>10} {:>14} {:>8}",
@@ -44,5 +45,4 @@ fn main() {
         geomean(&sw)
     );
     println!("(paper: 11% average improvement; 64% best case, ft)");
-    harness.finish();
 }

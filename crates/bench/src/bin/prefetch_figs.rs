@@ -1,10 +1,11 @@
 //! Figures 3, 4, 5 and 6 from two shared study passes (one per platform).
 //! `fig3` prints Figure 3 alone and is the golden-gated one.
 
-use umi_bench::engine::Harness;
+use umi_bench::engine::jobs_from_env;
 use umi_bench::study::{prefetch_cells, PrefetchRow};
 use umi_bench::{geomean, mean, sampled_config, scale_from_env};
 use umi_hw::Platform;
+use umi_workloads::all32;
 
 fn fig34(title: &str, rows: &[PrefetchRow]) {
     println!("{title}");
@@ -29,25 +30,26 @@ fn fig34(title: &str, rows: &[PrefetchRow]) {
 
 fn main() {
     let scale = scale_from_env();
-    let mut harness = Harness::new("prefetch_figs", scale);
+    let jobs = jobs_from_env();
     // The P4 pass needs the HW-prefetch variants (Figures 5/6); the K7
     // pass feeds only Figure 4, so it skips them.
-    let (p4, p4_stats) = prefetch_cells(
+    let suite = all32();
+    let p4 = prefetch_cells(
+        &suite,
         scale,
         &Platform::pentium4(),
         &sampled_config(scale),
         true,
-        harness.jobs(),
+        jobs,
     );
-    harness.absorb(p4_stats);
-    let (k7, k7_stats) = prefetch_cells(
+    let k7 = prefetch_cells(
+        &suite,
         scale,
         &Platform::k7(),
         &sampled_config(scale),
         false,
-        harness.jobs(),
+        jobs,
     );
-    harness.absorb(k7_stats);
 
     println!(
         "{} workloads with prefetching opportunities on P4, {} on K7 (paper: 11 of 32)\n",
@@ -109,5 +111,4 @@ fn main() {
         mean(&mhw),
         mean(&mboth)
     );
-    harness.finish();
 }

@@ -5,7 +5,7 @@
 
 use std::fmt::Write as _;
 
-use umi_bench::engine::{Cell, Harness};
+use umi_bench::engine::{jobs_from_env, run_cells};
 use umi_bench::scale_from_env;
 use umi_cache::FullSimulator;
 use umi_core::{PredictionQuality, SamplingMode, UmiConfig, UmiRuntime};
@@ -13,29 +13,26 @@ use umi_ir::Program;
 use umi_vm::{NullSink, Vm};
 use umi_workloads::build;
 
-fn quality(program: &Program, config: UmiConfig, full: &FullSimulator) -> (PredictionQuality, u64) {
+fn quality(program: &Program, config: UmiConfig, full: &FullSimulator) -> PredictionQuality {
     let truth = full.delinquent_set(0.90);
-    let mut umi = UmiRuntime::new(program, config);
-    let report = umi.run(&mut NullSink, u64::MAX);
-    let q = PredictionQuality::compute(
+    let report = UmiRuntime::new(program, config).run(&mut NullSink, u64::MAX);
+    PredictionQuality::compute(
         &report.predicted,
         &truth,
         full.per_pc(),
         program.static_loads(),
-    );
-    (q, report.vm_stats.insns)
+    )
 }
 
 fn main() {
     let scale = scale_from_env();
-    let mut harness = Harness::new("sensitivity", scale);
+    let jobs = jobs_from_env();
     // One cell per benchmark: the cell owns its full-simulation ground
     // truth, so both sweeps over it stay inside the cell.
-    let sections: Vec<String> = harness.run(&["181.mcf", "197.parser"], |name| {
+    let sections: Vec<String> = run_cells(jobs, &["181.mcf", "197.parser"], |name| {
         let program = build(name, scale).expect("known workload");
         let mut full = FullSimulator::pentium4();
-        let full_run = Vm::new(&program).run(&mut full, u64::MAX);
-        let mut insns = full_run.stats.insns;
+        Vm::new(&program).run(&mut full, u64::MAX);
         let mut out = String::new();
 
         writeln!(
@@ -54,8 +51,7 @@ fn main() {
             let mut cfg = UmiConfig::sampled();
             cfg.sampling = SamplingMode::Periodic { period_insns: 500 };
             cfg.frequency_threshold = t;
-            let (q, n) = quality(&program, cfg, &full);
-            insns += n;
+            let q = quality(&program, cfg, &full);
             writeln!(
                 out,
                 "{:>10} {:>7.1}% {:>9.1}%",
@@ -77,8 +73,7 @@ fn main() {
             let mut cfg = UmiConfig::no_sampling();
             cfg.addr_profile_rows = rows;
             cfg.trace_profile_capacity = cfg.trace_profile_capacity.max(rows * 2);
-            let (q, n) = quality(&program, cfg, &full);
-            insns += n;
+            let q = quality(&program, cfg, &full);
             writeln!(
                 out,
                 "{:>10} {:>7.1}% {:>9.1}%",
@@ -88,11 +83,7 @@ fn main() {
             )
             .unwrap();
         }
-        Cell {
-            label: name.to_string(),
-            insns,
-            value: out,
-        }
+        out
     });
     for section in &sections {
         print!("{section}");
@@ -101,5 +92,4 @@ fn main() {
     println!("(paper: mcf recall flat up to threshold 256, then drops; parser's");
     println!(" recall collapses as the threshold grows; longer address profiles");
     println!(" lower parser's recall but improve its false positives)");
-    harness.finish();
 }

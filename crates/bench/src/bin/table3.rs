@@ -1,7 +1,7 @@
 //! Table 3: profiling statistics per benchmark, without sample-based
 //! reinforcement — the empirical upper bound on instrumentation overhead.
 
-use umi_bench::engine::{Cell, Harness};
+use umi_bench::engine::{jobs_from_env, run_cells};
 use umi_bench::scale_from_env;
 use umi_core::{UmiConfig, UmiReport, UmiRuntime};
 use umi_vm::NullSink;
@@ -9,16 +9,10 @@ use umi_workloads::all32;
 
 fn main() {
     let scale = scale_from_env();
-    let mut harness = Harness::new("table3", scale);
-    let reports: Vec<UmiReport> = harness.run(&all32(), |spec| {
+    let jobs = jobs_from_env();
+    let reports: Vec<UmiReport> = run_cells(jobs, &all32(), |spec| {
         let program = spec.build(scale);
-        let mut umi = UmiRuntime::new(&program, UmiConfig::no_sampling());
-        let report = umi.run(&mut NullSink, u64::MAX);
-        Cell {
-            label: spec.name.to_string(),
-            insns: report.vm_stats.insns,
-            value: report,
-        }
+        UmiRuntime::new(&program, UmiConfig::no_sampling()).run(&mut NullSink, u64::MAX)
     });
 
     println!("Table 3 — Profiling statistics (sampling off)");
@@ -44,5 +38,4 @@ fn main() {
         "\naverage % profiled: {:.2}%  (paper: 19.42%, i.e. ~80% of candidates filtered)",
         umi_bench::mean(&pct)
     );
-    harness.finish();
 }

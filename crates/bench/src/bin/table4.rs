@@ -3,15 +3,15 @@
 //! counters, on Pentium 4 (± HW prefetch) and AMD K7.
 
 use umi_bench::corr::{corr_cell, CorrRow};
-use umi_bench::engine::Harness;
+use umi_bench::engine::{jobs_from_env, run_cells};
 use umi_bench::scale_from_env;
 use umi_core::pearson;
 use umi_workloads::{all32, Suite};
 
 fn main() {
     let scale = scale_from_env();
-    let mut harness = Harness::new("table4", scale);
-    let rows: Vec<CorrRow> = harness.run(&all32(), |spec| corr_cell(spec, scale));
+    let jobs = jobs_from_env();
+    let rows: Vec<CorrRow> = run_cells(jobs, &all32(), |spec| corr_cell(spec, scale));
     for r in &rows {
         println!(
             "{:<14} hwP4off {:>6.3} hwP4on {:>6.3} hwK7 {:>6.3} cg {:>6.3} umiP4 {:>6.3} umiK7 {:>6.3}",
@@ -60,5 +60,4 @@ fn main() {
     }
     println!("\n(paper: UMI-vs-P4-off 0.929/0.782/0.920/0.883; Cachegrind ~0.99;");
     println!(" prefetch-on correlations slightly lower; K7 0.828 overall)");
-    harness.finish();
 }

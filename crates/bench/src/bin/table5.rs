@@ -1,7 +1,7 @@
 //! Table 5: SPEC CPU2006 coefficients of correlation (Pentium 4 with
 //! hardware prefetching enabled).
 
-use umi_bench::engine::{Cell, Harness};
+use umi_bench::engine::{jobs_from_env, run_cells};
 use umi_bench::scale_from_env;
 use umi_core::{pearson, UmiConfig, UmiRuntime};
 use umi_hw::{Platform, PrefetchSetting};
@@ -11,21 +11,15 @@ use umi_workloads::{spec2006, Suite};
 
 fn main() {
     let scale = scale_from_env();
-    let mut harness = Harness::new("table5", scale);
-    let data: Vec<(Suite, f64, f64)> = harness.run(&spec2006(), |spec| {
+    let jobs = jobs_from_env();
+    let data: Vec<(Suite, f64, f64)> = run_cells(jobs, &spec2006(), |spec| {
         let program = spec.build(scale);
         let native = run_native(&program, Platform::pentium4(), PrefetchSetting::Full);
         let hw = native.counters.l2_miss_ratio();
-        let (umi, umi_insns) = {
-            let mut umi = UmiRuntime::new(&program, UmiConfig::no_sampling());
-            let r = umi.run(&mut NullSink, u64::MAX);
-            (r.umi_miss_ratio, r.vm_stats.insns)
-        };
-        Cell {
-            label: spec.name.to_string(),
-            insns: native.insns + umi_insns,
-            value: (spec.suite, umi, hw),
-        }
+        let umi = UmiRuntime::new(&program, UmiConfig::no_sampling())
+            .run(&mut NullSink, u64::MAX)
+            .umi_miss_ratio;
+        (spec.suite, umi, hw)
     });
     for (spec, (_, umi, hw)) in spec2006().iter().zip(&data) {
         println!("{:<16} hw {:>7.4} umi {:>7.4}", spec.name, hw, umi);
@@ -47,5 +41,4 @@ fn main() {
         corr(None)
     );
     println!("\n(paper: 0.94 / 0.79 / 0.85)");
-    harness.finish();
 }

@@ -2,7 +2,7 @@
 //! target — `|P|`, `|C|`, miss coverages, recall and false positives,
 //! with the paper's averages split at a 1% L2 miss ratio.
 
-use umi_bench::engine::{Cell, Harness};
+use umi_bench::engine::{jobs_from_env, run_cells};
 use umi_bench::{mean, scale_from_env};
 use umi_cache::FullSimulator;
 use umi_core::{PredictionQuality, UmiConfig, UmiRuntime};
@@ -10,8 +10,8 @@ use umi_workloads::all32;
 
 fn main() {
     let scale = scale_from_env();
-    let mut harness = Harness::new("table6", scale);
-    let rows: Vec<(f64, PredictionQuality)> = harness.run(&all32(), |spec| {
+    let jobs = jobs_from_env();
+    let rows: Vec<(f64, PredictionQuality)> = run_cells(jobs, &all32(), |spec| {
         let program = spec.build(scale);
 
         // One pass: the full simulator rides the UMI run as its access
@@ -28,11 +28,7 @@ fn main() {
             full.per_pc(),
             program.static_loads(),
         );
-        Cell {
-            label: spec.name.to_string(),
-            insns: report.vm_stats.insns,
-            value: (full.l2_miss_ratio(), q),
-        }
+        (full.l2_miss_ratio(), q)
     });
 
     println!("Table 6 — Quality of delinquent load prediction (x = 90%)");
@@ -97,5 +93,4 @@ fn main() {
     );
     println!("\n(paper: recall 87.80% for miss ratio >= 1%, 60.60% overall;");
     println!(" false positives 56.76% overall; coverage 86.15% / 66.02%)");
-    harness.finish();
 }

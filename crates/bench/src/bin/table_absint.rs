@@ -22,10 +22,9 @@
 
 use std::collections::BTreeMap;
 use umi_analyze::{render_errors, verify, UnclassifiedReason, Verdict};
-use umi_bench::engine::{Cell, Harness};
-use umi_bench::report::write_results;
-use umi_bench::scale_from_env;
+use umi_bench::engine::{jobs_from_env, run_cells};
 use umi_bench::staticplan_audit::audit_staticplan;
+use umi_bench::{scale_from_env, write_results};
 use umi_core::UmiConfig;
 use umi_workloads::{all32, Scale};
 
@@ -58,7 +57,7 @@ impl Row {
     }
 }
 
-fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
+fn gate_workload(program: &umi_ir::Program, name: &str) -> Row {
     if let Err(errs) = verify(program) {
         panic!(
             "{name}: verifier rejected the program:\n{}",
@@ -94,7 +93,7 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
         eprintln!("{name}: {:#x} {}", v.pc.0, v.violation_message());
     }
 
-    (row, audit.insns)
+    row
 }
 
 /// Serializes the audit as `results/umi_absint.json`.
@@ -138,15 +137,9 @@ fn write_json(scale: Scale, rows: &[(String, Row)], macro_avg: f64) {
 
 fn main() {
     let scale = scale_from_env();
-    let mut harness = Harness::new("table_absint", scale);
-    let rows: Vec<Row> = harness.run(&all32(), |spec| {
-        let program = spec.build(scale);
-        let (row, insns) = gate_workload(&program, spec.name);
-        Cell {
-            label: spec.name.to_string(),
-            insns,
-            value: row,
-        }
+    let jobs = jobs_from_env();
+    let rows: Vec<Row> = run_cells(jobs, &all32(), |spec| {
+        gate_workload(&spec.build(scale), spec.name)
     });
 
     println!("Abstract-interpretation cache verdicts vs exact simulation (Pentium 4 L1/L2)");
@@ -213,8 +206,6 @@ fn main() {
             "\ntable-absint: FAIL ({} verdict groups contradicted)",
             total.violations
         );
-        harness.finish();
         std::process::exit(1);
     }
-    harness.finish();
 }

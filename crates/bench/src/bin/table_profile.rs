@@ -10,10 +10,10 @@
 //! effective-address specializations this very table selected).
 //!
 //! Stdout is deterministic — opcode mixes are architectural counts, so
-//! the output is golden in `scripts/smoke.sh`. Wall-clock goes to
-//! `results/BENCH_pipeline.json` via the shared [`Harness`].
+//! the output is golden in `scripts/smoke.sh`. It prints no wall-clock;
+//! the benchmark (`perfbench/`) measures the engine's speed.
 
-use umi_bench::engine::{Cell, Harness};
+use umi_bench::engine::{jobs_from_env, run_cells};
 use umi_bench::scale_from_env;
 use umi_ir::FusionLevel;
 use umi_vm::{NullSink, OpProfile, Vm};
@@ -42,9 +42,9 @@ fn share(count: u64, total: u64) -> f64 {
 
 fn main() {
     let scale = scale_from_env();
-    let mut harness = Harness::new("table_profile", scale);
+    let jobs = jobs_from_env();
     let specs = all32();
-    let rows: Vec<Row> = harness.run(&specs, |spec| {
+    let rows: Vec<Row> = run_cells(jobs, &specs, |spec| {
         let program = spec.build(scale);
         let (insns, base) = profile(&program, FusionLevel::Baseline);
         let (full_insns, full) = profile(&program, FusionLevel::Full);
@@ -54,15 +54,11 @@ fn main() {
             "{}: block-count divergence",
             spec.name
         );
-        Cell {
-            label: spec.name.to_string(),
-            insns: 2 * insns,
-            value: Row {
-                name: spec.name,
-                insns,
-                base,
-                full,
-            },
+        Row {
+            name: spec.name,
+            insns,
+            base,
+            full,
         }
     });
 
@@ -150,5 +146,4 @@ fn main() {
             println!("  {shape:<12} {:>14} -> {after:>14}", 0);
         }
     }
-    harness.finish();
 }

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use umi_analyze::{classify_program, render_errors, verify, StaticClass};
-use umi_bench::engine::{Cell, Harness};
+use umi_bench::engine::{jobs_from_env, run_cells};
 use umi_bench::scale_from_env;
 use umi_core::{RefPattern, UmiConfig, UmiRuntime};
 use umi_vm::NullSink;
@@ -62,8 +62,8 @@ fn agrees(class: StaticClass, pattern: RefPattern) -> bool {
 
 fn main() {
     let scale = scale_from_env();
-    let mut harness = Harness::new("table_static", scale);
-    let rows: Vec<Row> = harness.run(&all32(), |spec| {
+    let jobs = jobs_from_env();
+    let rows: Vec<Row> = run_cells(jobs, &all32(), |spec| {
         let program = spec.build(scale);
         if let Err(errs) = verify(&program) {
             panic!(
@@ -117,11 +117,7 @@ fn main() {
                 }
             }
         }
-        Cell {
-            label: spec.name.to_string(),
-            insns: report.vm_stats.insns,
-            value: row,
-        }
+        row
     });
 
     println!("Static (umi-analyze) vs dynamic (UMI profiles) reference classification");
@@ -202,5 +198,4 @@ fn main() {
     }
     println!("\n(static-only ops were never profiled to a verdict; dynamic-only ops sit outside");
     println!(" every natural loop yet show a pattern at run time — the introspection UMI adds)");
-    harness.finish();
 }

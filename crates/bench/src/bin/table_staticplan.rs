@@ -29,10 +29,9 @@
 
 use std::collections::BTreeSet;
 use umi_analyze::{render_errors, verify};
-use umi_bench::engine::{Cell, Harness};
-use umi_bench::report::write_results;
+use umi_bench::engine::{jobs_from_env, run_cells};
 use umi_bench::staticplan_audit::audit_staticplan;
-use umi_bench::{geomean, mean, scale_from_env};
+use umi_bench::{geomean, mean, scale_from_env, write_results};
 use umi_cache::CacheConfig;
 use umi_core::{UmiConfig, UmiRuntime};
 use umi_hw::{Machine, Platform, PrefetchSetting};
@@ -74,7 +73,7 @@ fn jaccard_percent(a: &BTreeSet<u64>, b: &BTreeSet<u64>) -> f64 {
     100.0 * a.intersection(b).count() as f64 / union as f64
 }
 
-fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
+fn gate_workload(program: &umi_ir::Program, name: &str) -> Row {
     if let Err(errs) = verify(program) {
         panic!(
             "{name}: verifier rejected the program:\n{}",
@@ -88,7 +87,6 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
 
     // Experiment 1: every composed interval against exact simulation.
     let audit = audit_staticplan(program, floor);
-    let mut insns = audit.insns;
     let mut violations = 0usize;
     for v in audit.violations() {
         violations += 1;
@@ -109,7 +107,6 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
     // both plans are measured plan-only, through native runs).
     let mut machine_off = Machine::new(platform.clone(), PrefetchSetting::Off);
     let report = UmiRuntime::new(program, config).run(&mut machine_off, u64::MAX);
-    insns += report.vm_stats.insns;
     let native_off = RunOutcome {
         cycles: machine_off.total_cycles(report.vm_stats.insns),
         counters: machine_off.counters(),
@@ -127,14 +124,12 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
     let dynamic_hot: BTreeSet<u64> = report.ranked_delinquents().iter().map(|pc| pc.0).collect();
     let agreement = jaccard_percent(&static_hot, &dynamic_hot);
 
-    let mut run_plan = |plan: &PrefetchPlan| -> f64 {
+    let run_plan = |plan: &PrefetchPlan| -> f64 {
         if plan.is_empty() {
             return 1.0; // the rewrite is the identity
         }
         let optimized = inject_prefetches(program, plan);
-        let out = run_native(&optimized, platform.clone(), PrefetchSetting::Off);
-        insns += out.insns;
-        out.relative_to(&native_off)
+        run_native(&optimized, platform.clone(), PrefetchSetting::Off).relative_to(&native_off)
     };
     let splan = static_plan.plan();
     let (static_norm, dynamic_norm) = if splan.is_empty() && dynamic_plan.is_empty() {
@@ -143,7 +138,7 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
         (Some(run_plan(&splan)), Some(run_plan(&dynamic_plan)))
     };
 
-    let row = Row {
+    Row {
         groups: audit.checked.len(),
         bounded: audit.checked.iter().filter(|c| c.bound.bounded).count(),
         violations,
@@ -155,8 +150,7 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
         dynamic_planned: dynamic_plan.len(),
         static_norm,
         dynamic_norm,
-    };
-    (row, insns)
+    }
 }
 
 fn fmt_norm(n: Option<f64>) -> String {
@@ -209,15 +203,9 @@ fn write_json(scale: Scale, rows: &[(String, Row)], agree_avg: f64) {
 
 fn main() {
     let scale = scale_from_env();
-    let mut harness = Harness::new("table_staticplan", scale);
-    let rows: Vec<Row> = harness.run(&all32(), |spec| {
-        let program = spec.build(scale);
-        let (row, insns) = gate_workload(&program, spec.name);
-        Cell {
-            label: spec.name.to_string(),
-            insns,
-            value: row,
-        }
+    let jobs = jobs_from_env();
+    let rows: Vec<Row> = run_cells(jobs, &all32(), |spec| {
+        gate_workload(&spec.build(scale), spec.name)
     });
 
     println!("Composed static miss bounds vs exact simulation (Pentium 4 L1/L2)");
@@ -301,8 +289,6 @@ fn main() {
             "\ntable-staticplan: FAIL ({} intervals violated)",
             total_violations
         );
-        harness.finish();
         std::process::exit(1);
     }
-    harness.finish();
 }

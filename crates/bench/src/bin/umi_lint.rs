@@ -40,10 +40,9 @@
 use umi_analyze::{
     lint_program, predict_program, render_errors, verify, CacheGeometry, Delinquency, Severity,
 };
-use umi_bench::engine::{Cell, Harness};
-use umi_bench::report::write_results;
-use umi_bench::scale_from_env;
+use umi_bench::engine::{jobs_from_env, run_cells};
 use umi_bench::staticplan_audit::audit_staticplan;
+use umi_bench::{scale_from_env, write_results};
 use umi_core::{DynamicDelinquency, UmiConfig, UmiRuntime};
 use umi_prefetch::{check_rewritten, inject_prefetches, PrefetchPlan};
 use umi_vm::NullSink;
@@ -129,7 +128,7 @@ fn agrees(s: Delinquency, d: DynamicDelinquency) -> bool {
 
 /// Runs the static passes plus the dynamic cross-check for one
 /// workload. Pure function of the (program, scale) pair.
-fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
+fn gate_workload(program: &umi_ir::Program, name: &str) -> Row {
     if let Err(errs) = verify(program) {
         panic!(
             "{name}: verifier rejected the original program:\n{}",
@@ -160,7 +159,6 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
 
     let mut umi = UmiRuntime::new(program, config);
     let report = umi.run(&mut NullSink, u64::MAX);
-    let insns = report.vm_stats.insns;
 
     // Static verdict vs dynamic label, loads only (UMI's delinquency
     // machinery tracks loads; stores never enter the predicted set).
@@ -289,11 +287,11 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
         }
     }
 
-    (row, insns)
+    row
 }
 
 /// Minimal JSON string escaping for the hand-rolled report (the crate
-/// has no JSON dependency — see `umi_bench::report`).
+/// has no JSON dependency).
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -383,15 +381,9 @@ fn write_json(scale: Scale, rows: &[(String, Row)], agree: usize, both: usize, e
 
 fn main() {
     let scale = scale_from_env();
-    let mut harness = Harness::new("umi_lint", scale);
-    let rows: Vec<Row> = harness.run(&all32(), |spec| {
-        let program = spec.build(scale);
-        let (row, insns) = gate_workload(&program, spec.name);
-        Cell {
-            label: spec.name.to_string(),
-            insns,
-            value: row,
-        }
+    let jobs = jobs_from_env();
+    let rows: Vec<Row> = run_cells(jobs, &all32(), |spec| {
+        gate_workload(&spec.build(scale), spec.name)
     });
 
     println!("umi-lint: static delinquency model, IR lints, prefetch-plan verification");
@@ -493,12 +485,10 @@ fn main() {
         println!(
             "\numi-lint: PASS ({warnings} warnings, 0 errors, agreement bar {AGREEMENT_BAR:.0}%)"
         );
-        harness.finish();
     } else {
         println!(
             "\numi-lint: FAIL ({errors} error-severity findings, agreement {pct:.1}% vs bar {AGREEMENT_BAR:.0}%)"
         );
-        harness.finish();
         std::process::exit(1);
     }
 }

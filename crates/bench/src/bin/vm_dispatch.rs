@@ -12,11 +12,11 @@
 //!
 //! Stdout is architectural and deterministic — retired instructions,
 //! dynamic micro-op dispatches per level, and the cross-engine agreement
-//! verdict — and is golden-checked by `scripts/smoke.sh`. Per-cell
-//! wall-clock (the actual insns/sec of each `kernel/engine` pair) goes
-//! to `results/BENCH_pipeline.json` via the shared [`Harness`].
+//! verdict — and is golden-checked by `scripts/smoke.sh`. It prints no
+//! wall-clock; interpreter speed is measured by the benchmark
+//! (`perfbench/`, its `vm.ns_per_insn` layer metric).
 
-use umi_bench::engine::{Cell, Harness};
+use umi_bench::engine::{jobs_from_env, run_cells};
 use umi_bench::scale_from_env;
 use umi_ir::{FusionLevel, Program, ProgramBuilder, Reg, Width};
 use umi_vm::{NullSink, OpProfile, Vm, VmStats};
@@ -150,14 +150,14 @@ struct Run {
 
 fn main() {
     let scale = scale_from_env();
-    let mut harness = Harness::new("vm_dispatch", scale);
+    let jobs = jobs_from_env();
     let cells: Vec<(usize, usize)> = (0..KERNELS.len())
         .flat_map(|k| (0..ENGINES.len()).map(move |e| (k, e)))
         .collect();
-    let runs: Vec<Run> = harness.run(&cells, |&(k, e)| {
+    let runs: Vec<Run> = run_cells(jobs, &cells, |&(k, e)| {
         let (name, build) = KERNELS[k];
         let program = build(scale);
-        let run = match ENGINES[e] {
+        match ENGINES[e] {
             "tree" => Run {
                 stats: {
                     let r = Vm::new(&program).run_tree(&mut NullSink, u64::MAX);
@@ -181,17 +181,11 @@ fn main() {
                     profile: vm.op_profile(),
                 }
             }
-        };
-        Cell {
-            label: format!("{name}/{}", ENGINES[e]),
-            insns: run.stats.insns,
-            value: run,
         }
     });
 
     println!("vm_dispatch — interpreter dispatch microbenchmark");
-    println!("(stdout is architectural: retired insns and measured micro-op dispatches;");
-    println!(" per-engine wall-clock goes to results/BENCH_pipeline.json)");
+    println!("(stdout is architectural: retired insns and measured micro-op dispatches)");
     println!();
     println!(
         "{:<12} {:>12} {:>10} {:>11} {:>11} {:>10}",
@@ -224,5 +218,4 @@ fn main() {
     println!();
     println!("engines agree: tree-walk, decoded(Baseline), decoded(Full) retire identical");
     println!("VmStats on every kernel (asserted above; streams pinned by the differential).");
-    harness.finish();
 }

@@ -2,7 +2,6 @@
 //! tests): simulated miss ratios from every predictor next to the
 //! hardware counters they are correlated against.
 
-use crate::engine::Cell;
 use umi_cache::{CacheConfig, FullSimulator};
 use umi_core::{UmiConfig, UmiRuntime};
 use umi_hw::{Machine, Platform, PrefetchSetting};
@@ -53,7 +52,7 @@ pub struct CorrRow {
 /// the K7-off counters from a K7-geometry full simulation, dropping two
 /// redundant per-reference machine simulations from the suite's hottest
 /// cell. The printed ratios are bit-identical.
-pub fn corr_cell(spec: &WorkloadSpec, scale: Scale) -> Cell<CorrRow> {
+pub fn corr_cell(spec: &WorkloadSpec, scale: Scale) -> CorrRow {
     let program = spec.build(scale);
 
     // Ratios-only: this cell reads nothing but aggregate L2 miss ratios
@@ -76,17 +75,13 @@ pub fn corr_cell(spec: &WorkloadSpec, scale: Scale) -> Cell<CorrRow> {
         umi.run(&mut Tee(&mut hw_p4_on, &mut pair), u64::MAX)
     };
 
-    Cell {
-        label: spec.name.to_string(),
-        insns: report.vm_stats.insns,
-        value: CorrRow {
-            spec: *spec,
-            hw_p4_off: cg.l2_miss_ratio(),
-            hw_p4_on: hw_p4_on.counters().l2_miss_ratio(),
-            hw_k7: cg_k7.l2_miss_ratio(),
-            cachegrind: cg.l2_miss_ratio(),
-            umi_p4: report.umi_miss_ratio,
-            umi_k7: umi.shadow_sims()[k7].miss_ratio(),
-        },
+    CorrRow {
+        spec: *spec,
+        hw_p4_off: cg.l2_miss_ratio(),
+        hw_p4_on: hw_p4_on.counters().l2_miss_ratio(),
+        hw_k7: cg_k7.l2_miss_ratio(),
+        cachegrind: cg.l2_miss_ratio(),
+        umi_p4: report.umi_miss_ratio,
+        umi_k7: umi.shadow_sims()[k7].miss_ratio(),
     }
 }

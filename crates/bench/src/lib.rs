@@ -29,14 +29,17 @@
 //! (CI-sized); unset or `UMI_SCALE=bench` is the full scale, and any
 //! other value is an error. `UMI_JOBS=<n>` bounds the experiment
 //! engine's worker threads (default: all available cores); any job count
-//! prints byte-identical output — see [`engine`].
+//! prints byte-identical output — see [`engine`]. A bad value of either
+//! knob exits 2 with one line on stderr before any output.
+//!
+//! The harnesses print results, not timings: the repository's one
+//! performance measurement is the benchmark in `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod corr;
 pub mod engine;
-pub mod report;
 pub mod staticplan_audit;
 pub mod study;
 
@@ -68,6 +71,18 @@ fn parse_scale(var: Option<&str>) -> Result<Scale, String> {
         .into_iter()
         .find(|s| s.name() == v)
         .ok_or_else(|| format!("error: UMI_SCALE must be \"test\" or \"bench\", got {v:?}"))
+}
+
+/// Writes `contents` to `results/<file>`, creating the directory.
+///
+/// Best-effort: a failure is one warning on stderr, never a panic or a
+/// line on stdout — a read-only checkout must not fail a harness or gate.
+pub fn write_results(file: &str, contents: &str) {
+    let path = std::path::Path::new("results").join(file);
+    let write = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, contents));
+    if let Err(e) = write {
+        eprintln!("warning: could not write {}: {e}", path.display());
+    }
 }
 
 /// The sampled UMI configuration appropriate for a scale: the paper's

@@ -1,13 +1,13 @@
 //! Shared measurement procedure for the prefetching figures (3–6).
 
-use crate::engine::{run_cells, Cell, CellStat};
+use crate::engine::run_cells;
 use umi_core::{UmiConfig, UmiReport, UmiRuntime};
 use umi_hw::{Machine, Platform, PrefetchSetting};
 use umi_ir::Program;
-use umi_prefetch::harness::{run_umi, RunOutcome};
+use umi_prefetch::harness::RunOutcome;
 use umi_prefetch::{inject_prefetches, PrefetchPlan};
 use umi_vm::Tee;
-use umi_workloads::{all32, Scale, WorkloadSpec};
+use umi_workloads::{Scale, WorkloadSpec};
 
 /// Measurements for one prefetch-friendly workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,15 +52,14 @@ fn introspect_pass(
 }
 
 /// One workload's §8 measurement; `None` when the planner found no
-/// prefetching opportunity (the workload is then not a study row, but
-/// its introspection pass still shows up in the cell stats).
+/// prefetching opportunity (the workload is then not a study row).
 fn study_cell(
     spec: &WorkloadSpec,
     scale: Scale,
     platform: &Platform,
     config: &UmiConfig,
     hw_variants: bool,
-) -> Cell<Option<PrefetchRow>> {
+) -> Option<PrefetchRow> {
     let program = spec.build(scale);
     // Pass 1: introspection over the unmodified program with the HW
     // model riding as the sink (prefetch off — prefetch does not change
@@ -74,7 +73,6 @@ fn study_cell(
     let mut native_hw = hw_variants.then(|| Machine::new(platform.clone(), PrefetchSetting::Full));
     let report = introspect_pass(&program, config, &mut machine_off, native_hw.as_mut());
     let pass_insns = report.vm_stats.insns;
-    let mut insns = pass_insns;
     let native_off = RunOutcome {
         cycles: machine_off.total_cycles(pass_insns),
         counters: machine_off.counters(),
@@ -87,11 +85,7 @@ fn study_cell(
     };
     let plan = PrefetchPlan::from_report(&report, 32);
     if plan.is_empty() {
-        return Cell {
-            label: spec.name.to_string(),
-            insns,
-            value: None,
-        };
+        return None;
     }
     let optimized = inject_prefetches(&program, &plan);
     // Pass 2: introspection over the optimized program, with both
@@ -101,7 +95,6 @@ fn study_cell(
     let report2 = introspect_pass(&optimized, config, &mut sw_off, sw_hw.as_mut());
     let overhead2 = report2.dbi_overhead_cycles + report2.umi_overhead_cycles;
     let pass2_insns = report2.vm_stats.insns;
-    insns += pass2_insns;
     let umi_sw_off = RunOutcome {
         cycles: sw_off.total_cycles(pass2_insns) + overhead2,
         counters: sw_off.counters(),
@@ -117,64 +110,38 @@ fn study_cell(
         counters: hw.counters(),
         insns: pass_insns,
     });
-    Cell {
-        label: spec.name.to_string(),
-        insns,
-        value: Some(PrefetchRow {
-            spec: *spec,
-            planned: plan.len(),
-            native_off,
-            umi_only_off,
-            umi_sw_off,
-            native_hw,
-            umi_sw_hw,
-        }),
-    }
+    Some(PrefetchRow {
+        spec: *spec,
+        planned: plan.len(),
+        native_off,
+        umi_only_off,
+        umi_sw_off,
+        native_hw,
+        umi_sw_hw,
+    })
 }
 
-/// Runs the §8 study on every workload with a prefetching opportunity,
-/// fanned out over `jobs` engine workers (cells are per-workload and
-/// independent; rows come back in suite order at any job count).
+/// Runs the §8 study on every workload of `specs` with a prefetching
+/// opportunity, fanned out over `jobs` engine workers (cells are
+/// per-workload and independent; rows come back in `specs` order at any
+/// job count). The harnesses pass the full suite; tests study a subset.
 ///
 /// "Of the 32 benchmarks in our suite, we discovered prefetching
 /// opportunities for 11 of them" — here the set is whatever the planner
 /// finds a confident stride for. With `hw_variants` off the rows carry
 /// only the prefetch-off measurements (all Figures 3/4 need).
 pub fn prefetch_cells(
-    scale: Scale,
-    platform: &Platform,
-    config: &UmiConfig,
-    hw_variants: bool,
-    jobs: usize,
-) -> (Vec<PrefetchRow>, Vec<CellStat>) {
-    prefetch_cells_for(&all32(), scale, platform, config, hw_variants, jobs)
-}
-
-/// [`prefetch_cells`] over an explicit workload list (tests study a
-/// subset; the harnesses always pass the full suite).
-pub fn prefetch_cells_for(
     specs: &[WorkloadSpec],
     scale: Scale,
     platform: &Platform,
     config: &UmiConfig,
     hw_variants: bool,
     jobs: usize,
-) -> (Vec<PrefetchRow>, Vec<CellStat>) {
-    let (rows, stats) = run_cells(jobs, specs, |spec| {
+) -> Vec<PrefetchRow> {
+    run_cells(jobs, specs, |spec| {
         study_cell(spec, scale, platform, config, hw_variants)
-    });
-    (rows.into_iter().flatten().collect(), stats)
-}
-
-/// [`prefetch_cells`] with the full measurement set and the `UMI_JOBS`
-/// worker count — the drop-in equivalent of the old sequential study.
-pub fn prefetch_study(scale: Scale, platform: &Platform, config: &UmiConfig) -> Vec<PrefetchRow> {
-    let jobs = crate::engine::jobs_from_env();
-    prefetch_cells(scale, platform, config, true, jobs).0
-}
-
-/// Re-plans a single workload (used by ablations that vary the distance).
-pub fn plan_for(program: &Program, config: UmiConfig, distance_refs: i64) -> PrefetchPlan {
-    let (_, report) = run_umi(program, config, Platform::pentium4(), PrefetchSetting::Off);
-    PrefetchPlan::from_report(&report, distance_refs)
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }

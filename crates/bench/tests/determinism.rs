@@ -10,7 +10,7 @@
 use umi_bench::corr::{corr_cell, CorrRow};
 use umi_bench::engine::run_cells;
 use umi_bench::sampled_config;
-use umi_bench::study::{prefetch_cells_for, PrefetchRow};
+use umi_bench::study::{prefetch_cells, PrefetchRow};
 use umi_hw::Platform;
 use umi_workloads::{all32, Scale, WorkloadSpec};
 
@@ -19,10 +19,10 @@ fn some_workloads() -> Vec<WorkloadSpec> {
 }
 
 #[test]
-fn prefetch_study_rows_identical_across_job_counts() {
+fn prefetch_rows_identical_across_job_counts() {
     let specs = some_workloads();
     let study = |jobs: usize| -> Vec<PrefetchRow> {
-        prefetch_cells_for(
+        prefetch_cells(
             &specs,
             Scale::Test,
             &Platform::pentium4(),
@@ -30,7 +30,6 @@ fn prefetch_study_rows_identical_across_job_counts() {
             true,
             jobs,
         )
-        .0
     };
     let sequential = study(1);
     assert!(
@@ -45,10 +44,10 @@ fn prefetch_study_rows_identical_across_job_counts() {
 }
 
 #[test]
-fn prefetch_stats_keep_workload_order() {
+fn prefetch_rows_keep_workload_order() {
     let specs = some_workloads();
     let run = |jobs: usize| {
-        prefetch_cells_for(
+        prefetch_cells(
             &specs,
             Scale::Test,
             &Platform::k7(),
@@ -57,14 +56,27 @@ fn prefetch_stats_keep_workload_order() {
             jobs,
         )
     };
-    let (seq_rows, seq_stats) = run(1);
-    let (par_rows, par_stats) = run(4);
+    let seq_rows = run(1);
+    let par_rows = run(4);
     assert_eq!(par_rows, seq_rows);
-    let names: Vec<&str> = specs.iter().map(|s| s.name).collect();
-    let seq: Vec<&str> = seq_stats.iter().map(|s| s.label.as_str()).collect();
-    let par: Vec<&str> = par_stats.iter().map(|s| s.label.as_str()).collect();
-    assert_eq!(seq, names, "sequential stats must follow suite order");
-    assert_eq!(par, names, "parallel stats must follow suite order");
+    // Rows are the planned subset of `specs`, so suite order means the
+    // row names appear in `specs` order, each exactly once.
+    let seq: Vec<&str> = seq_rows.iter().map(|r| r.spec.name).collect();
+    let par: Vec<&str> = par_rows.iter().map(|r| r.spec.name).collect();
+    let in_suite_order: Vec<&str> = specs
+        .iter()
+        .map(|s| s.name)
+        .filter(|name| seq.contains(name))
+        .collect();
+    assert!(
+        !seq.is_empty(),
+        "subset must contain prefetch opportunities"
+    );
+    assert_eq!(
+        seq, in_suite_order,
+        "sequential rows must follow suite order"
+    );
+    assert_eq!(par, in_suite_order, "parallel rows must follow suite order");
     // The K7 study skips the HW-prefetch variants entirely.
     assert!(seq_rows
         .iter()
@@ -78,16 +90,16 @@ fn correlation_rows_identical_across_job_counts_and_vs_plain_loop() {
     // The pre-engine harness shape: a plain sequential loop.
     let by_hand: Vec<CorrRow> = specs
         .iter()
-        .map(|spec| corr_cell(spec, Scale::Test).value)
+        .map(|spec| corr_cell(spec, Scale::Test))
         .collect();
 
     // Pin the decoded-engine rows across UMI_JOBS ∈ {1, 2, all-cores}.
     let all_jobs = std::thread::available_parallelism().map_or(4, |n| n.get());
     for jobs in [1, 2, all_jobs] {
-        let (rows, stats) = run_cells(jobs, &specs, |spec| corr_cell(spec, Scale::Test));
+        let rows = run_cells(jobs, &specs, |spec| corr_cell(spec, Scale::Test));
         assert_eq!(rows, by_hand, "correlation rows differ at jobs={jobs}");
-        let labels: Vec<&str> = stats.iter().map(|s| s.label.as_str()).collect();
+        let names: Vec<&str> = rows.iter().map(|r| r.spec.name).collect();
         let expected: Vec<&str> = specs.iter().map(|s| s.name).collect();
-        assert_eq!(labels, expected, "stat order differs at jobs={jobs}");
+        assert_eq!(names, expected, "row order differs at jobs={jobs}");
     }
 }

@@ -14,6 +14,9 @@
 # all three share one static audit, umi_bench::staticplan_audit, and
 # umi_lint runs it on the original and the prefetch-rewritten program).
 #
+# Every harness must also reject a bad UMI_JOBS or UMI_SCALE up front
+# (exit 2, one line on stderr, nothing on stdout).
+#
 # Run from the repository root: scripts/smoke.sh
 set -eu
 
@@ -24,6 +27,25 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 harnesses="table6 table4 fig3 table_static umi_lint table_absint table_staticplan cache_sink table_profile vm_dispatch"
+
+# Bad knobs fail fast: a zero UMI_JOBS or an unknown UMI_SCALE must
+# stop every harness before any work, with exit status 2, nothing on
+# stdout and exactly one line on stderr.
+for bin in $harnesses; do
+    for knob in UMI_JOBS=0 UMI_SCALE=bogus; do
+        status=0
+        env UMI_SCALE=test UMI_JOBS=2 "$knob" ./target/release/$bin \
+            > "$tmp/knob.out" 2> "$tmp/knob.err" || status=$?
+        lines=$(wc -l < "$tmp/knob.err" | tr -d ' ')
+        if [ "$status" -ne 2 ] || [ -s "$tmp/knob.out" ] || [ "$lines" -ne 1 ]; then
+            echo "smoke: $bin with $knob: want exit 2, empty stdout, one stderr line;" \
+                "got exit $status, $(wc -c < "$tmp/knob.out" | tr -d ' ') stdout bytes," \
+                "$lines stderr lines" >&2
+            exit 1
+        fi
+    done
+done
+echo "smoke: every harness rejects UMI_JOBS=0 and UMI_SCALE=bogus with one line"
 
 for bin in $harnesses; do
     UMI_SCALE=test UMI_JOBS=2 ./target/release/$bin > "$tmp/$bin.txt"
