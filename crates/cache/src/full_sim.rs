@@ -21,13 +21,14 @@ use umi_vm::AccessSink;
 ///
 /// The simulator overrides [`AccessSink::access_batch`]: a whole block's
 /// accesses are consumed in one call, and consecutive references to the
-/// same L1 line — the dominant shape of demand traffic — are coalesced
-/// into one set lookup plus a deferred bulk update
-/// ([`Hierarchy::l1_reuse_mru`]). The run detector carries across batch
-/// boundaries, so a unit-stride loop that touches a line once per block
-/// still coalesces. Outcomes, statistics, and replacement state are
-/// identical to the per-item path (run tails are L1 hits by construction);
-/// the batch-vs-per-item differential test enforces this.
+/// same L1 line are coalesced into one set lookup plus a deferred bulk
+/// update ([`Hierarchy::l1_reuse_mru`]). [`AccessSink::access`] is a batch
+/// of one through the same loop. The run detector carries across calls,
+/// so a unit-stride loop that touches a line once per block still
+/// coalesces. Outcomes, statistics, and replacement state are identical
+/// to simulating every reference (run tails are L1 hits by
+/// construction); the batch differential test pins this against an
+/// independent per-item loop.
 ///
 /// Feed it to a [`Vm`](umi_vm::Vm) run as the access sink, then extract the
 /// delinquent set:
@@ -65,12 +66,6 @@ pub struct FullSimulator {
     /// guaranteed L1 hit: the previous reference left the line resident
     /// and nothing evicted it since.
     cur_block: u64,
-    /// Deferred same-line L1 hits not yet applied to the hierarchy.
-    /// Always zero outside [`AccessSink::access_batch`], so every public
-    /// accessor observes settled state.
-    pending: u64,
-    /// Whether any deferred hit was a store (dirty-bit OR).
-    pending_write: bool,
     /// Whether per-instruction attribution is maintained (the default).
     /// See [`ratios_only`](Self::ratios_only).
     track_per_pc: bool,
@@ -94,8 +89,6 @@ impl FullSimulator {
             l2_stores: CacheStats::default(),
             l1_shift,
             cur_block: u64::MAX,
-            pending: 0,
-            pending_write: false,
             track_per_pc: true,
             track_l1: false,
             l1_per_pc: PerPcStats::new(),
@@ -181,104 +174,38 @@ impl FullSimulator {
         delinquent_set(&self.per_pc, x)
     }
 
-    /// Applies deferred same-line hits to the L1. Called whenever a run
-    /// ends (and at batch end, so state is settled between sink calls).
-    #[inline]
-    fn flush_run(&mut self) {
-        if self.pending > 0 {
-            self.hierarchy
-                .l1_reuse_mru(self.pending, self.pending_write);
-            self.pending = 0;
-            self.pending_write = false;
-        }
-    }
-
-    /// Simulates one reference (prefetch hints are ignored); run tails
-    /// bypass the hierarchy.
-    #[inline]
-    fn demand(&mut self, access: umi_ir::MemAccess) {
-        if !access.is_demand() {
-            return;
-        }
-        let is_store = access.kind == umi_ir::AccessKind::Store;
-        let block = access.addr >> self.l1_shift;
-        if block == self.cur_block {
-            // Same L1 line as the previous simulated reference: a
-            // guaranteed L1 hit — never reaches L2, never misses. Defer
-            // the L1 bookkeeping; only the per-pc table needs the item.
-            self.pending += 1;
-            self.pending_write |= is_store;
-            if self.track_per_pc {
-                self.per_pc.record(access.pc, is_store, false);
-            }
-            if self.track_l1 {
-                self.l1_per_pc.record(access.pc, is_store, false);
-            }
-            return;
-        }
-        self.flush_run();
-        self.cur_block = block;
-        let level = if is_store {
-            self.hierarchy.access_write(access.addr)
-        } else {
-            self.hierarchy.access(access.addr)
-        };
-        let l2_miss = level == HitLevel::Memory;
-        if self.track_per_pc {
-            self.per_pc.record(access.pc, is_store, l2_miss);
-        }
-        if self.track_l1 {
-            self.l1_per_pc
-                .record(access.pc, is_store, level != HitLevel::L1);
-        }
-        if level != HitLevel::L1 {
-            let l2 = if is_store {
-                &mut self.l2_stores
-            } else {
-                &mut self.l2_loads
-            };
-            l2.accesses += 1;
-            l2.misses += l2_miss as u64;
-        }
-    }
-
-    /// Batch loop: item-for-item the same outcomes as
-    /// [`demand`](Self::demand), but the run detector and deferred-run
-    /// counters stay in locals across the whole batch instead of
-    /// bouncing through `&mut self` per reference. The deferred run is
-    /// settled before returning, so every public accessor still observes
-    /// settled state between sink calls.
-    fn batch_exact(&mut self, batch: &[umi_ir::MemAccess]) {
+    /// The simulator's one loop, behind both [`AccessSink`] methods.
+    /// Prefetch hints are skipped; the hierarchy is consulted once per
+    /// same-line run. The run detector (`cur_block`) spans calls, so the
+    /// per-block batches of a streaming loop coalesce into one lookup per
+    /// line, not one per block. The deferred run's L1 bookkeeping
+    /// (`pending`) lives in locals and is settled before returning, so
+    /// every public accessor observes settled state between calls.
+    fn run(&mut self, batch: &[umi_ir::MemAccess]) {
         let mut cur_block = self.cur_block;
-        let mut pending = self.pending;
-        let mut pending_write = self.pending_write;
+        let mut pending = 0u64;
+        let mut pending_write = false;
         for a in batch {
             if !a.is_demand() {
                 continue;
             }
             let is_store = a.kind == umi_ir::AccessKind::Store;
             let block = a.addr >> self.l1_shift;
-            if block == cur_block {
+            let level = if block == cur_block {
+                // Same L1 line as the previous simulated reference: a
+                // guaranteed L1 hit that never reaches L2. Defer the L1
+                // bookkeeping; only the per-pc tables need the item.
                 pending += 1;
                 pending_write |= is_store;
-                if self.track_per_pc {
-                    self.per_pc.record(a.pc, is_store, false);
-                }
-                if self.track_l1 {
-                    self.l1_per_pc.record(a.pc, is_store, false);
-                }
-                continue;
-            }
-            if pending > 0 {
-                self.hierarchy.l1_reuse_mru(pending, pending_write);
-                pending = 0;
-                pending_write = false;
-            }
-            cur_block = block;
-            let level = if is_store {
-                self.hierarchy.access_write(a.addr)
+                HitLevel::L1
             } else {
-                self.hierarchy.access(a.addr)
+                if pending > 0 {
+                    self.hierarchy.l1_reuse_mru(pending, pending_write);
+                    pending = 0;
+                    pending_write = false;
+                }
+                cur_block = block;
+                self.hierarchy.access_rw(a.addr, is_store)
             };
             let l2_miss = level == HitLevel::Memory;
             if self.track_per_pc {
@@ -301,25 +228,18 @@ impl FullSimulator {
             self.hierarchy.l1_reuse_mru(pending, pending_write);
         }
         self.cur_block = cur_block;
-        self.pending = 0;
-        self.pending_write = false;
     }
 }
 
 impl AccessSink for FullSimulator {
+    /// A batch of one through [`access_batch`](Self::access_batch)'s loop.
     #[inline]
     fn access(&mut self, access: umi_ir::MemAccess) {
-        self.demand(access);
-        self.flush_run();
+        self.run(std::slice::from_ref(&access));
     }
 
     fn access_batch(&mut self, batch: &[umi_ir::MemAccess]) {
-        // The demand filter and per-pc routing are resolved per item, but
-        // the hierarchy is only consulted once per same-line run; the run
-        // detector (`cur_block`) spans batch boundaries, so per-block
-        // batches of a streaming loop coalesce into one lookup per line,
-        // not one per block.
-        self.batch_exact(batch);
+        self.run(batch);
     }
 }
 

@@ -39,34 +39,28 @@ impl Hierarchy {
 
     /// References `addr` as a read and reports the level that satisfied
     /// it.
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, addr: u64) -> HitLevel {
         self.access_rw(addr, false)
     }
 
     /// References `addr` as a write (write-back, write-allocate at both
     /// levels) and reports the level that satisfied it.
-    #[inline]
+    #[inline(always)]
     pub fn access_write(&mut self, addr: u64) -> HitLevel {
         self.access_rw(addr, true)
     }
 
-    #[inline]
-    fn access_rw(&mut self, addr: u64, write: bool) -> HitLevel {
-        let l1 = if write {
-            self.l1.access_write(addr)
-        } else {
-            self.l1.access(addr)
-        };
-        if l1.hit {
-            return HitLevel::L1;
-        }
-        let l2 = if write {
-            self.l2.access_write(addr)
-        } else {
-            self.l2.access(addr)
-        };
-        if l2.hit {
+    /// References `addr` as a write if `write`, else as a read: the one
+    /// path behind [`access`](Self::access) and
+    /// [`access_write`](Self::access_write). Always inlined, with both
+    /// levels' lookups, into each simulator's batch loop; only `hit` is
+    /// read, so the lookup's evicted-address return compiles away.
+    #[inline(always)]
+    pub fn access_rw(&mut self, addr: u64, write: bool) -> HitLevel {
+        if self.l1.lookup::<true>(addr, write).hit {
+            HitLevel::L1
+        } else if self.l2.lookup::<true>(addr, write).hit {
             HitLevel::L2
         } else {
             HitLevel::Memory
@@ -82,7 +76,7 @@ impl Hierarchy {
     /// L1 (hit or fill), nothing evicted it since, so each of the `n`
     /// repeats would be an L1 hit that never reaches L2. See
     /// [`SetAssocCache::reuse_mru`] for the per-line equivalence argument.
-    #[inline]
+    #[inline(always)]
     pub fn l1_reuse_mru(&mut self, n: u64, any_write: bool) {
         self.l1.reuse_mru(n, any_write);
     }
@@ -97,8 +91,14 @@ impl Hierarchy {
     /// Installs the line containing `addr` into L2 only, without counting
     /// demand statistics — the effect of an L2 prefetch (both the Pentium 4
     /// hardware prefetcher and the paper's software prefetcher target L2).
-    pub fn prefetch_fill_l2(&mut self, addr: u64) {
-        self.l2.fill(addr);
+    /// A line already resident is left as it is (its replacement state
+    /// included). Returns whether the line was installed.
+    pub fn prefetch_fill_l2(&mut self, addr: u64) -> bool {
+        let absent = !self.l2.probe(addr);
+        if absent {
+            self.l2.fill(addr);
+        }
+        absent
     }
 
     /// Whether the line is resident in L2 (no state disturbed).

@@ -2,7 +2,7 @@
 //!
 //! State lives in a data-oriented (SoA) layout: one flat `u64` tag array
 //! scanned way-contiguously per set, logical LRU/FIFO time in its own
-//! array, and validity/dirtiness as one bitmask word per set. A set probe
+//! array, and validity as one bitmask word per set. A set probe
 //! therefore touches a single host cache line of tags instead of a strided
 //! walk over four-field `Line` structs, and the victim scan only loads the
 //! time array on an actual miss.
@@ -32,11 +32,12 @@ pub struct SetAssocCache {
     tags: Vec<u64>,
     /// Per-line logical time (LRU refresh time / FIFO insertion time).
     times: Vec<u64>,
+    /// Per-line dirty flag, indexed like `tags`; meaningful only while
+    /// the line is valid.
+    dirty: Vec<bool>,
     /// Per-set validity bitmask: bit `w` of `valid[s]` is way `w` of set
     /// `s` (associativity is capped at 64 ways by [`SetAssocCache::new`]).
     valid: Vec<u64>,
-    /// Per-set dirty bitmask, same bit assignment as `valid`.
-    dirty: Vec<u64>,
     clock: u64,
     stats: CacheStats,
     /// xorshift state for [`ReplacementPolicy::Random`].
@@ -50,16 +51,9 @@ pub struct SetAssocCache {
     set_bits: u32,
     /// Bitmask with one bit per way (`(1 << ways) - 1`, saturated).
     ways_full: u64,
-    /// Line address of the most recently hit/filled line, for the MRU
-    /// fast path (sequential references within one line dominate demand
-    /// traffic). `u64::MAX` = no cached slot.
-    last_block: u64,
-    /// Index into `tags`/`times` of that line.
-    last_slot: usize,
-    /// Set index of that line (indexes `valid`/`dirty`).
-    last_set: usize,
-    /// Single-bit way mask of that line within its set's bitmask words.
-    last_bit: u64,
+    /// Index into `tags`/`times`/`dirty` of the line the latest access hit
+    /// or filled: the line [`reuse_mru`](Self::reuse_mru) re-references.
+    mru: usize,
 }
 
 impl SetAssocCache {
@@ -67,12 +61,25 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if the associativity exceeds 64 (the per-set valid/dirty
-    /// state is one bitmask word).
+    /// Panics unless `sets` and `line_size` are powers of two and the
+    /// associativity is within `1..=64` (the per-set valid state is one
+    /// bitmask word). `CacheConfig`'s fields are public, so a literal can
+    /// bypass [`CacheConfig::new`]'s checks; the set mask and shifts
+    /// below are only correct for such geometries.
     pub fn new(config: CacheConfig) -> SetAssocCache {
         assert!(
-            config.ways <= 64,
-            "associativity {} exceeds the 64-way bitmask limit",
+            config.sets.is_power_of_two(),
+            "cache set count {} is not a power of two",
+            config.sets
+        );
+        assert!(
+            config.line_size.is_power_of_two(),
+            "cache line size {} is not a power of two",
+            config.line_size
+        );
+        assert!(
+            (1..=64).contains(&config.ways),
+            "associativity {} outside 1..=64",
             config.ways
         );
         let lines = config.sets * config.ways;
@@ -80,8 +87,8 @@ impl SetAssocCache {
             config,
             tags: vec![0; lines],
             times: vec![0; lines],
+            dirty: vec![false; lines],
             valid: vec![0; config.sets],
-            dirty: vec![0; config.sets],
             clock: 0,
             stats: CacheStats::default(),
             rng: 0x9e37_79b9_7f4a_7c15,
@@ -93,10 +100,7 @@ impl SetAssocCache {
             } else {
                 (1u64 << config.ways) - 1
             },
-            last_block: u64::MAX,
-            last_slot: 0,
-            last_set: 0,
-            last_bit: 0,
+            mru: 0,
         }
     }
 
@@ -123,80 +127,64 @@ impl SetAssocCache {
 
     /// References `addr` as a read, updating replacement state and
     /// statistics.
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, addr: u64) -> AccessOutcome {
-        self.access_inner::<true>(addr, false)
+        self.lookup::<true>(addr, false)
     }
 
     /// References `addr` as a write: like [`access`](Self::access), and
     /// additionally marks the line dirty (write-back, write-allocate).
-    #[inline]
+    #[inline(always)]
     pub fn access_write(&mut self, addr: u64) -> AccessOutcome {
-        self.access_inner::<true>(addr, true)
+        self.lookup::<true>(addr, true)
     }
 
-    /// `COUNT` selects whether the access updates demand statistics: the
-    /// demand path counts, the prefetch-fill path does not. Replacement
-    /// state, the logical clock, and the Random-policy rng advance
-    /// identically either way.
-    #[inline]
-    fn access_inner<const COUNT: bool>(&mut self, addr: u64, write: bool) -> AccessOutcome {
+    /// The one lookup every access path shares. `COUNT` selects whether
+    /// the access updates demand statistics: the demand path counts, the
+    /// prefetch-fill path does not. Replacement state, the logical clock,
+    /// and the Random-policy rng advance identically either way.
+    ///
+    /// Always inlined, so each simulator's loop carries its own copy of
+    /// the set probe; a caller that reads only `hit` (the [`Hierarchy`])
+    /// lets the compiler drop the evicted-address reconstruction.
+    ///
+    /// [`Hierarchy`]: crate::Hierarchy
+    #[inline(always)]
+    pub(crate) fn lookup<const COUNT: bool>(&mut self, addr: u64, write: bool) -> AccessOutcome {
         self.clock += 1;
         let clock = self.clock;
         let block = addr >> self.line_shift;
         let tag = block >> self.set_bits;
-        // MRU fast path: a repeat reference to the line hit or filled last
-        // time skips the set scan. The valid/tag re-check makes the cached
-        // slot self-invalidating (eviction or flush changes either), so
-        // outcomes and replacement state are identical to the full scan.
-        if block == self.last_block
-            && self.valid[self.last_set] & self.last_bit != 0
-            && self.tags[self.last_slot] == tag
-        {
-            if COUNT {
-                self.stats.accesses += 1;
-            }
-            if self.config.policy == ReplacementPolicy::Lru {
-                self.times[self.last_slot] = clock;
-            }
-            if write {
-                self.dirty[self.last_set] |= self.last_bit;
-            }
-            return AccessOutcome {
-                hit: true,
-                evicted: None,
-            };
-        }
-        let ways = self.config.ways;
         let set = block as usize & self.set_mask;
-        let base = set * ways;
+        let base = set * self.config.ways;
         let vword = self.valid[set];
 
         if COUNT {
             self.stats.accesses += 1;
         }
-        // Hit scan: tags of valid ways only, lowest way first. Only the
-        // tag array is touched until the outcome is known.
+        // Hit scan: every valid way's tag is compared (at most one
+        // matches), so the loop runs as many times as the set holds lines
+        // — steady once it has filled — instead of exiting at the
+        // matching way, which is data-dependent and mispredicts.
+        let mut hit = None;
         let mut m = vword;
         while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            if self.tags[base + w] == tag {
-                if self.config.policy == ReplacementPolicy::Lru {
-                    self.times[base + w] = clock; // LRU refresh; FIFO keeps insert time
-                }
-                if write {
-                    self.dirty[set] |= 1u64 << w;
-                }
-                self.last_block = block;
-                self.last_slot = base + w;
-                self.last_set = set;
-                self.last_bit = 1u64 << w;
-                return AccessOutcome {
-                    hit: true,
-                    evicted: None,
-                };
+            let slot = base + m.trailing_zeros() as usize;
+            if self.tags[slot] == tag {
+                hit = Some(slot);
             }
             m &= m - 1;
+        }
+        if let Some(slot) = hit {
+            if self.config.policy == ReplacementPolicy::Lru {
+                self.times[slot] = clock; // LRU refresh; FIFO keeps insert time
+            }
+            self.dirty[slot] |= write;
+            self.mru = slot;
+            return AccessOutcome {
+                hit: true,
+                evicted: None,
+            };
         }
         if COUNT {
             self.stats.misses += 1;
@@ -205,16 +193,16 @@ impl SetAssocCache {
         // Miss: prefer the first invalid way, else the policy's victim
         // (for LRU/FIFO the first way with the minimal time — the time
         // array is only read here, on the miss path).
+        let ways = self.config.ways;
         let victim = if vword != self.ways_full {
             (!vword).trailing_zeros() as usize
         } else {
             match self.config.policy {
                 ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+                    let times = &self.times[base..base + ways];
                     let mut oldest = 0usize;
-                    let mut oldest_time = self.times[base];
-                    for w in 1..ways {
-                        if self.times[base + w] < oldest_time {
-                            oldest_time = self.times[base + w];
+                    for (w, &t) in times.iter().enumerate().skip(1) {
+                        if t < times[oldest] {
                             oldest = w;
                         }
                     }
@@ -229,29 +217,19 @@ impl SetAssocCache {
                 }
             }
         };
+        let slot = base + victim;
         let bit = 1u64 << victim;
         let old_valid = vword & bit != 0;
-        let old_dirty = old_valid && self.dirty[set] & bit != 0;
-        let evicted = if old_valid {
-            if COUNT && old_dirty {
-                self.stats.writebacks += 1;
-            }
-            Some(self.reconstruct_addr(addr, self.tags[base + victim]))
-        } else {
-            None
-        };
-        self.tags[base + victim] = tag;
-        self.times[base + victim] = clock;
-        self.valid[set] |= bit;
-        if write {
-            self.dirty[set] |= bit;
-        } else {
-            self.dirty[set] &= !bit;
+        if COUNT && old_valid && self.dirty[slot] {
+            self.stats.writebacks += 1;
         }
-        self.last_block = block;
-        self.last_slot = base + victim;
-        self.last_set = set;
-        self.last_bit = bit;
+        let evicted =
+            old_valid.then(|| ((self.tags[slot] << self.set_bits) | set as u64) << self.line_shift);
+        self.tags[slot] = tag;
+        self.times[slot] = clock;
+        self.dirty[slot] = write;
+        self.valid[set] = vword | bit;
+        self.mru = slot;
         AccessOutcome {
             hit: false,
             evicted,
@@ -272,30 +250,28 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Debug-asserts that the MRU slot is still valid (it cannot have
+    /// Debug-asserts that the MRU line is still valid (it cannot have
     /// been evicted, since no access intervened).
-    #[inline]
+    #[inline(always)]
     pub fn reuse_mru(&mut self, n: u64, any_write: bool) {
         debug_assert!(
-            self.last_bit != 0 && self.valid[self.last_set] & self.last_bit != 0,
+            self.valid[self.mru / self.config.ways] & (1 << (self.mru % self.config.ways)) != 0,
             "reuse_mru without a preceding access"
         );
         self.clock += n;
         self.stats.accesses += n;
         if self.config.policy == ReplacementPolicy::Lru {
-            self.times[self.last_slot] = self.clock;
+            self.times[self.mru] = self.clock;
         }
-        if any_write {
-            self.dirty[self.last_set] |= self.last_bit;
-        }
+        self.dirty[self.mru] |= any_write;
     }
 
     /// Inserts the line containing `addr` without counting an access, a
     /// miss, or a writeback — used to model prefetch fills, which are not
     /// demand traffic. Replacement state (clock, LRU times, Random rng,
-    /// MRU slot) advances exactly as a demand read would.
+    /// MRU line) advances exactly as a demand read would.
     pub fn fill(&mut self, addr: u64) -> Option<u64> {
-        self.access_inner::<false>(addr, false).evicted
+        self.lookup::<false>(addr, false).evicted
     }
 
     /// Whether the line containing `addr` is present, without touching
@@ -307,8 +283,7 @@ impl SetAssocCache {
         let base = set * self.config.ways;
         let mut m = self.valid[set];
         while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            if self.tags[base + w] == tag {
+            if self.tags[base + m.trailing_zeros() as usize] == tag {
                 return true;
             }
             m &= m - 1;
@@ -319,17 +294,11 @@ impl SetAssocCache {
     /// Invalidates every line (the analyzer's periodic flush, §5).
     pub fn flush(&mut self) {
         self.valid.fill(0);
-        self.dirty.fill(0);
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
         self.valid.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    fn reconstruct_addr(&self, probe_addr: u64, tag: u64) -> u64 {
-        let set = (probe_addr >> self.line_shift) & self.set_mask as u64;
-        ((tag << self.set_bits) | set) << self.line_shift
     }
 }
 
@@ -345,6 +314,56 @@ mod tests {
     /// Address landing in set 0 with distinct tag `t`.
     fn set0(t: u64) -> u64 {
         t * 2 * 64
+    }
+
+    /// A geometry built as a literal, bypassing `CacheConfig::new`.
+    fn literal(sets: usize, ways: usize, line_size: u64) -> CacheConfig {
+        CacheConfig {
+            sets,
+            ways,
+            line_size,
+            policy: ReplacementPolicy::Lru,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cache set count 6 is not a power of two")]
+    fn rejects_non_power_of_two_sets() {
+        SetAssocCache::new(literal(6, 2, 64));
+    }
+
+    #[test]
+    #[should_panic(expected = "cache set count 0 is not a power of two")]
+    fn rejects_zero_sets() {
+        SetAssocCache::new(literal(0, 2, 64));
+    }
+
+    #[test]
+    #[should_panic(expected = "cache line size 48 is not a power of two")]
+    fn rejects_non_power_of_two_line_size() {
+        SetAssocCache::new(literal(4, 2, 48));
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity 0 outside 1..=64")]
+    fn rejects_zero_ways() {
+        SetAssocCache::new(literal(4, 0, 64));
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity 65 outside 1..=64")]
+    fn rejects_more_than_64_ways() {
+        SetAssocCache::new(literal(4, 65, 64));
+    }
+
+    #[test]
+    fn accepts_64_ways() {
+        let mut c = SetAssocCache::new(literal(1, 64, 64));
+        for t in 0..65u64 {
+            c.access(t * 64);
+        }
+        assert_eq!(c.resident_lines(), 64);
+        assert!(!c.probe(0), "the 65th line evicts the oldest");
     }
 
     #[test]

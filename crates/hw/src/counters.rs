@@ -19,8 +19,6 @@ pub struct HwCounters {
     pub hw_prefetch_fills: u64,
     /// Lines installed by software `prefetch` instructions.
     pub sw_prefetch_fills: u64,
-    /// Retired instructions.
-    pub insns: u64,
 }
 
 impl HwCounters {

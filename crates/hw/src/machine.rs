@@ -4,7 +4,7 @@ use crate::counters::HwCounters;
 use crate::platform::Platform;
 use crate::prefetcher::{AdjacentLinePrefetcher, PrefetchEngine, StridePrefetcher};
 use umi_cache::{Hierarchy, HitLevel};
-use umi_ir::{AccessKind, MemAccess, Pc};
+use umi_ir::{AccessKind, MemAccess};
 use umi_vm::AccessSink;
 
 /// Which hardware prefetchers are enabled (paper §8: "The prefetchers can
@@ -52,18 +52,11 @@ pub struct Machine {
     /// `log2(l1 line size)`, for same-line run detection.
     l1_shift: u32,
     /// L1 line number of the most recent demand reference (`u64::MAX` =
-    /// none yet). Repeats of this line are deferred into `pending` and
-    /// settled as one `l1_reuse_mru` call: they are guaranteed L1 hits
-    /// (nothing between them can evict the line — prefetch fills touch
-    /// only L2), so they cost no stall and never reach L2.
+    /// none yet). Repeats of this line are deferred and settled as one
+    /// `l1_reuse_mru` call: they are guaranteed L1 hits (nothing between
+    /// them can evict the line — prefetch fills touch only L2), so they
+    /// cost no stall and never reach L2.
     cur_block: u64,
-    /// Deferred same-line demand repeats not yet applied to L1.
-    pending: u64,
-    /// Whether any deferred repeat was a store.
-    pending_write: bool,
-    /// Reusable scratch for prefetcher decisions (avoids a `Vec`
-    /// allocation per observed reference).
-    fill_buf: Vec<u64>,
 }
 
 impl Machine {
@@ -94,9 +87,6 @@ impl Machine {
             last_miss_line: None,
             l1_shift,
             cur_block: u64::MAX,
-            pending: 0,
-            pending_write: false,
-            fill_buf: Vec::new(),
         }
     }
 
@@ -119,7 +109,6 @@ impl Machine {
             l2_misses: l2.misses,
             hw_prefetch_fills: self.hw_fills,
             sw_prefetch_fills: self.sw_fills,
-            insns: 0,
         }
     }
 
@@ -135,213 +124,115 @@ impl Machine {
         insns + self.stall_cycles
     }
 
-    fn install_prefetches(&mut self, lines: &[u64], hw: bool) {
-        for &line in lines {
-            if !self.hierarchy.probe_l2(line) {
-                self.hierarchy.prefetch_fill_l2(line);
-                if hw {
-                    self.hw_fills += 1;
-                } else {
-                    self.sw_fills += 1;
-                }
-            }
-        }
-    }
-
-    /// Installs the scratch buffer's lines as hardware prefetch fills.
-    /// Indexed loop rather than an iterator so the buffer and the
-    /// hierarchy can be borrowed disjointly from `&mut self`.
-    fn drain_fill_buf(&mut self) {
-        for i in 0..self.fill_buf.len() {
-            let line = self.fill_buf[i];
-            if !self.hierarchy.probe_l2(line) {
-                self.hierarchy.prefetch_fill_l2(line);
-                self.hw_fills += 1;
-            }
-        }
-        self.fill_buf.clear();
-    }
-
-    /// Runs both enabled prefetchers on one observed demand reference and
-    /// installs what they propose, in the same order as the per-item path
-    /// (adjacent's fills land before stride observes).
-    #[inline]
-    fn observe_and_install(&mut self, pc: Pc, line: u64, l2_miss: bool) {
-        if let Some(adj) = &mut self.adjacent {
-            adj.observe_into(pc, line, l2_miss, &mut self.fill_buf);
-            if !self.fill_buf.is_empty() {
-                self.drain_fill_buf();
-            }
-        }
-        if let Some(st) = &mut self.stride {
-            st.observe_into(pc, line, l2_miss, &mut self.fill_buf);
-            if !self.fill_buf.is_empty() {
-                self.drain_fill_buf();
-            }
-        }
-    }
-
-    /// Settles deferred same-line repeats into L1. Must run before any
-    /// other L1 access and at the end of every sink call, so external
-    /// observers ([`Machine::counters`]) always see settled state.
-    #[inline]
-    fn flush_run(&mut self) {
-        if self.pending > 0 {
-            self.hierarchy
-                .l1_reuse_mru(self.pending, self.pending_write);
-            self.pending = 0;
-            self.pending_write = false;
-        }
-    }
-
-    #[inline]
-    fn handle(&mut self, access: MemAccess) {
-        if access.kind == AccessKind::Prefetch {
-            // Software prefetch: install into L2, charge one issue cycle.
-            // L2-only, so it does not break a pending L1 run.
-            self.stall_cycles += 1;
-            self.install_prefetches(&[self.platform.l2.line_addr(access.addr)], false);
-            return;
-        }
-
-        let block = access.addr >> self.l1_shift;
-        if block == self.cur_block {
-            // Same-line repeat: a guaranteed L1 hit. Defer the L1
-            // bookkeeping; no stall, no L2 reference. Prefetchers still
-            // observe every demand reference (their stream training and
-            // replacement clocks must see identical traffic), with
-            // `l2_miss = false` exactly as the per-item path would pass.
-            self.pending += 1;
-            self.pending_write |= access.kind == AccessKind::Store;
-            if self.adjacent.is_some() || self.stride.is_some() {
-                let line = self.platform.l2.line_addr(access.addr);
-                self.observe_and_install(access.pc, line, false);
-            }
-            return;
-        }
-        self.flush_run();
-        self.cur_block = block;
-
-        let level = if access.kind == AccessKind::Store {
-            self.hierarchy.access_write(access.addr)
-        } else {
-            self.hierarchy.access(access.addr)
-        };
-        match level {
-            HitLevel::L1 => {}
-            HitLevel::L2 => {
-                self.stall_cycles += self.platform.l2_hit_cycles;
-            }
-            HitLevel::Memory => {
-                // Memory-level parallelism / DRAM row-buffer proxy: a miss
-                // near the previous miss overlaps with it (streaming reads
-                // pipeline in hardware); distant misses — pointer chases —
-                // pay the full serialized latency.
-                let line = self.platform.l2.line_addr(access.addr);
-                let near = self
-                    .last_miss_line
-                    .is_some_and(|prev| prev.abs_diff(line) <= 16 * self.platform.l2.line_size);
-                self.stall_cycles += if near {
-                    self.platform.memory_cycles / 3
-                } else {
-                    self.platform.memory_cycles
-                };
-                self.last_miss_line = Some(line);
-            }
-        }
-
-        // Hardware prefetchers observe demand traffic at line granularity.
-        if self.adjacent.is_some() || self.stride.is_some() {
-            let line = self.platform.l2.line_addr(access.addr);
-            self.observe_and_install(access.pc, line, level == HitLevel::Memory);
-        }
-    }
-
-    /// Prefetch-off batch loop: item-for-item the same outcomes as
-    /// [`handle`](Self::handle) with both prefetchers absent, but the run
-    /// detector, deferred-run counters, and stall accumulator live in
-    /// locals for the whole batch instead of bouncing through `&mut self`
-    /// per reference, and there are no per-item prefetcher checks. The
-    /// deferred run is settled before returning (the caller's `flush_run`
-    /// then finds nothing pending).
-    fn batch_prefetch_off(&mut self, accesses: &[MemAccess]) {
-        let mut cur_block = self.cur_block;
-        let mut pending = self.pending;
-        let mut pending_write = self.pending_write;
+    /// The machine's one loop, behind both [`AccessSink`] methods and
+    /// every prefetch setting.
+    ///
+    /// Demand references are looked up once per same-line run: the run
+    /// detector (`cur_block`) spans calls, the deferred repeats
+    /// (`pending`) live in locals and are settled before returning, so
+    /// [`Machine::counters`] always sees settled state. The enabled
+    /// prefetchers observe every demand reference (their training and
+    /// recency must see identical traffic), a run tail with
+    /// `l2_miss = false`; each proposal is installed as it is issued, the
+    /// adjacent line's before the stride engine observes.
+    fn run(&mut self, accesses: &[MemAccess]) {
+        let Machine {
+            platform,
+            hierarchy,
+            adjacent,
+            stride,
+            hw_fills,
+            sw_fills,
+            stall_cycles,
+            last_miss_line,
+            l1_shift,
+            cur_block,
+        } = self;
+        let l2_line = !(platform.l2.line_size - 1);
+        let mut run_block = *cur_block;
+        let mut pending = 0u64;
+        let mut pending_write = false;
         let mut stall = 0u64;
         for a in accesses {
+            let line = a.addr & l2_line;
             if a.kind == AccessKind::Prefetch {
-                // L2-only: does not break the pending L1 run.
+                // Software prefetch: install into L2, charge one issue
+                // cycle. L2-only, so it does not break the pending L1 run.
                 stall += 1;
-                self.install_prefetches(&[self.platform.l2.line_addr(a.addr)], false);
+                *sw_fills += hierarchy.prefetch_fill_l2(line) as u64;
                 continue;
             }
-            let block = a.addr >> self.l1_shift;
-            if block == cur_block {
+            let is_store = a.kind == AccessKind::Store;
+            let block = a.addr >> *l1_shift;
+            let l2_miss = if block == run_block {
                 pending += 1;
-                pending_write |= a.kind == AccessKind::Store;
-                continue;
-            }
-            if pending > 0 {
-                self.hierarchy.l1_reuse_mru(pending, pending_write);
-                pending = 0;
-                pending_write = false;
-            }
-            cur_block = block;
-            let level = if a.kind == AccessKind::Store {
-                self.hierarchy.access_write(a.addr)
+                pending_write |= is_store;
+                false
             } else {
-                self.hierarchy.access(a.addr)
-            };
-            match level {
-                HitLevel::L1 => {}
-                HitLevel::L2 => stall += self.platform.l2_hit_cycles,
-                HitLevel::Memory => {
-                    let line = self.platform.l2.line_addr(a.addr);
-                    let near = self
-                        .last_miss_line
-                        .is_some_and(|prev| prev.abs_diff(line) <= 16 * self.platform.l2.line_size);
-                    stall += if near {
-                        self.platform.memory_cycles / 3
-                    } else {
-                        self.platform.memory_cycles
-                    };
-                    self.last_miss_line = Some(line);
+                if pending > 0 {
+                    hierarchy.l1_reuse_mru(pending, pending_write);
+                    pending = 0;
+                    pending_write = false;
                 }
+                run_block = block;
+                match hierarchy.access_rw(a.addr, is_store) {
+                    HitLevel::L1 => false,
+                    HitLevel::L2 => {
+                        stall += platform.l2_hit_cycles;
+                        false
+                    }
+                    HitLevel::Memory => {
+                        // Memory-level parallelism / DRAM row-buffer
+                        // proxy: a miss near the previous miss overlaps
+                        // with it (streaming reads pipeline in hardware);
+                        // distant misses — pointer chases — pay the full
+                        // serialized latency.
+                        let near = last_miss_line
+                            .is_some_and(|prev| prev.abs_diff(line) <= 16 * platform.l2.line_size);
+                        stall += if near {
+                            platform.memory_cycles / 3
+                        } else {
+                            platform.memory_cycles
+                        };
+                        *last_miss_line = Some(line);
+                        true
+                    }
+                }
+            };
+            // Hardware prefetchers observe demand traffic at line
+            // granularity.
+            if let Some(adj) = adjacent {
+                adj.observe_with(a.pc, line, l2_miss, |l| {
+                    *hw_fills += hierarchy.prefetch_fill_l2(l) as u64;
+                });
+            }
+            if let Some(st) = stride {
+                st.observe_with(a.pc, line, l2_miss, |l| {
+                    *hw_fills += hierarchy.prefetch_fill_l2(l) as u64;
+                });
             }
         }
         if pending > 0 {
-            self.hierarchy.l1_reuse_mru(pending, pending_write);
+            hierarchy.l1_reuse_mru(pending, pending_write);
         }
-        self.cur_block = cur_block;
-        self.pending = 0;
-        self.pending_write = false;
-        self.stall_cycles += stall;
+        *cur_block = run_block;
+        *stall_cycles += stall;
     }
 }
 
 impl AccessSink for Machine {
+    /// A batch of one through [`access_batch`](Self::access_batch)'s loop.
+    #[inline]
     fn access(&mut self, access: MemAccess) {
-        self.handle(access);
-        self.flush_run();
+        self.run(std::slice::from_ref(&access));
     }
 
-    /// Batch path: the per-block batches the VM delivers are consumed with
-    /// same-line runs coalesced. `cur_block` deliberately survives across
-    /// batches (the MRU L1 line stays resident between them), so runs that
-    /// span batch boundaries still coalesce; only the deferred counts are
-    /// settled per call. With no prefetcher enabled — every prefetch-off
-    /// machine, i.e. most of Figure 3 and Table 4's traffic — the batch
-    /// runs through a register-local loop instead of the per-item handler.
+    /// The per-block batches the VM delivers, with same-line runs
+    /// coalesced. `cur_block` deliberately survives across batches (the
+    /// MRU L1 line stays resident between them), so runs that span batch
+    /// boundaries still coalesce.
     fn access_batch(&mut self, accesses: &[MemAccess]) {
-        if self.adjacent.is_none() && self.stride.is_none() {
-            self.batch_prefetch_off(accesses);
-            return;
-        }
-        for &access in accesses {
-            self.handle(access);
-        }
-        self.flush_run();
+        self.run(accesses);
     }
 }
 

@@ -9,26 +9,22 @@ use umi_ir::Pc;
 /// A hardware prefetch engine: observes demand references (at line
 /// granularity) and proposes line addresses to install into L2.
 pub trait PrefetchEngine {
-    /// Observes one demand reference; pushes line addresses to prefetch
-    /// into `out` (which the caller reuses across decisions — engines
-    /// must append, never clear).
+    /// Observes one demand reference and hands each line address to
+    /// prefetch to `issue`, in order.
     ///
     /// `line_addr` is the line-aligned address, `l2_miss` whether the
-    /// reference missed L2. This runs once per demand reference, so it
-    /// yields into the caller's buffer instead of allocating a `Vec` per
-    /// decision.
-    fn observe_into(&mut self, pc: Pc, line_addr: u64, l2_miss: bool, out: &mut Vec<u64>);
+    /// reference missed L2. This runs once per demand reference, so the
+    /// proposals go straight to the caller (the machine installs each as
+    /// it is issued) instead of through a buffer.
+    fn observe_with(&mut self, pc: Pc, line_addr: u64, l2_miss: bool, issue: impl FnMut(u64));
 
-    /// Convenience wrapper over [`observe_into`](Self::observe_into) that
-    /// allocates: tests and one-shot callers.
+    /// Convenience wrapper over [`observe_with`](Self::observe_with) that
+    /// collects the proposals: tests and one-shot callers.
     fn observe(&mut self, pc: Pc, line_addr: u64, l2_miss: bool) -> Vec<u64> {
         let mut out = Vec::new();
-        self.observe_into(pc, line_addr, l2_miss, &mut out);
+        self.observe_with(pc, line_addr, l2_miss, |line| out.push(line));
         out
     }
-
-    /// Resets all predictor state.
-    fn reset(&mut self);
 }
 
 /// Adjacent-cache-line prefetching: on an L2 demand miss, also fetch the
@@ -46,48 +42,61 @@ impl AdjacentLinePrefetcher {
 }
 
 impl PrefetchEngine for AdjacentLinePrefetcher {
-    fn observe_into(&mut self, _pc: Pc, line_addr: u64, l2_miss: bool, out: &mut Vec<u64>) {
+    #[inline(always)]
+    fn observe_with(&mut self, _pc: Pc, line_addr: u64, l2_miss: bool, mut issue: impl FnMut(u64)) {
         if l2_miss {
-            out.push(line_addr ^ self.line_size);
+            issue(line_addr ^ self.line_size);
         }
     }
+}
 
-    fn reset(&mut self) {}
+/// Most streams a [`StridePrefetcher`] can track.
+const MAX_STREAMS: usize = 64;
+
+/// Index of the recency list's sentinel in [`StridePrefetcher`]'s
+/// `newer`/`older` links.
+const HEAD: usize = MAX_STREAMS;
+
+/// One tracked stream's training state.
+#[derive(Clone, Copy, Debug, Default)]
+struct Stream {
+    /// Last observed line address.
+    last_line: u64,
+    /// Armed stride (line-address delta).
+    stride: i64,
+    /// Consecutive equal-stride observations.
+    confidence: u8,
 }
 
 /// IP-indexed stride prefetching with a fixed number of streams (8 on the
 /// Pentium 4). Two consecutive equal line-strides arm a stream; armed
-/// streams prefetch `distance` strides ahead.
+/// streams prefetch `distance` strides ahead. A pc without a stream
+/// takes a free slot, else the least-recently-observed stream's.
 ///
-/// Stream state is stored field-per-array (SoA) rather than as an array
-/// of stream structs: `observe_into` runs once per demand reference and
-/// both of its scans — the pc match and the LRU victim search — then
-/// walk one small dense array apiece instead of striding over multi-line
-/// structs. Consecutive demand references almost never share a pc (loop
-/// bodies interleave their loads), so the pc scan is the common path,
-/// not the `last_slot` memo.
+/// Storage is fixed-size: the owning pcs in one dense array (the lookup
+/// scans it), the training state beside it, and recency as a circular
+/// doubly linked list threaded through `newer`/`older` with a sentinel,
+/// so touching a stream and choosing the victim are O(1) and
+/// branch-free. When a loop cycles through more memory pcs than there
+/// are streams, nearly every observation allocates and evicts; the list
+/// makes that path as cheap as a hit.
 #[derive(Clone, Debug)]
 pub struct StridePrefetcher {
-    /// Owning pc per slot (garbage for invalid slots — masked by `valid`).
-    pcs: Vec<u64>,
-    /// Last observed line address per slot.
-    last_lines: Vec<u64>,
-    /// Armed stride per slot (line-address delta).
-    strides: Vec<i64>,
-    /// Consecutive equal-stride observations per slot.
-    confidences: Vec<u8>,
-    /// Last-touch clock per slot, for LRU reuse.
-    lrus: Vec<u64>,
-    /// Validity bitmask: bit `i` = slot `i` holds a live stream (stream
-    /// counts are ≤ 64; [`StridePrefetcher::new`] enforces it).
-    valid: u64,
+    /// Owning pc per slot; slots `0..len` are live.
+    pcs: [u64; MAX_STREAMS],
+    streams: [Stream; MAX_STREAMS],
+    /// Recency links, slot to the next more recently observed slot;
+    /// `newer[HEAD]` is the least recently observed.
+    newer: [u8; MAX_STREAMS + 1],
+    /// Slot to the next less recently observed slot; `older[HEAD]` is the
+    /// most recently observed.
+    older: [u8; MAX_STREAMS + 1],
+    /// Live slots (streams are never freed, so they are a prefix).
+    len: usize,
+    /// Configured stream count.
+    capacity: usize,
     line_size: u64,
     distance: u64,
-    clock: u64,
-    /// Slot of the most recently observed pc — a pure lookup memo.
-    /// pc-uniqueness of valid streams makes the shortcut observationally
-    /// identical to the scan.
-    last_slot: usize,
 }
 
 impl StridePrefetcher {
@@ -101,114 +110,91 @@ impl StridePrefetcher {
     ///
     /// # Panics
     ///
-    /// Panics unless `1 ..= 64` streams are requested (validity is one
-    /// bitmask word).
+    /// Panics unless `1 ..= 64` streams are requested.
     pub fn new(streams: usize, line_size: u64, distance: u64) -> StridePrefetcher {
         assert!(
-            (1..=64).contains(&streams),
-            "stream count {streams} outside 1..=64"
+            (1..=MAX_STREAMS).contains(&streams),
+            "stream count {streams} outside 1..={MAX_STREAMS}"
         );
         StridePrefetcher {
-            pcs: vec![0; streams],
-            last_lines: vec![0; streams],
-            strides: vec![0; streams],
-            confidences: vec![0; streams],
-            lrus: vec![0; streams],
-            valid: 0,
+            pcs: [0; MAX_STREAMS],
+            streams: [Stream::default(); MAX_STREAMS],
+            newer: [HEAD as u8; MAX_STREAMS + 1],
+            older: [HEAD as u8; MAX_STREAMS + 1],
+            len: 0,
+            capacity: streams,
             line_size,
             distance,
-            clock: 0,
-            last_slot: 0,
         }
     }
 
-    /// First valid slot owned by `pc`, or `None`. Equivalent to the
-    /// original struct-array `position` scan: valid streams have unique
-    /// pcs, so "first match over valid slots" is "the match".
-    #[inline]
-    fn find(&self, pc: u64) -> Option<usize> {
-        if self.valid & (1 << self.last_slot) != 0 && self.pcs[self.last_slot] == pc {
-            return Some(self.last_slot);
-        }
-        let mut m = self.valid;
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            if self.pcs[i] == pc {
-                return Some(i);
-            }
-            m &= m - 1;
-        }
-        None
+    /// Makes `slot` the most recently observed stream. `slot` must not be
+    /// on the list (fresh, or just unlinked).
+    #[inline(always)]
+    fn push_newest(&mut self, slot: usize) {
+        let prev = self.older[HEAD];
+        self.older[slot] = prev;
+        self.newer[slot] = HEAD as u8;
+        self.newer[prev as usize] = slot as u8;
+        self.older[HEAD] = slot as u8;
+    }
+
+    /// Takes `slot` off the recency list.
+    #[inline(always)]
+    fn unlink(&mut self, slot: usize) {
+        let (newer, older) = (self.newer[slot], self.older[slot]);
+        self.older[newer as usize] = older;
+        self.newer[older as usize] = newer;
     }
 }
 
 impl PrefetchEngine for StridePrefetcher {
-    fn observe_into(&mut self, pc: Pc, line_addr: u64, l2_miss: bool, out: &mut Vec<u64>) {
-        self.clock += 1;
-        let clock = self.clock;
-
-        if let Some(i) = self.find(pc.0) {
-            self.last_slot = i;
-            self.lrus[i] = clock;
-            let delta = line_addr as i64 - self.last_lines[i] as i64;
-            self.last_lines[i] = line_addr;
-            if delta == 0 {
-                return; // same line; no new information
-            }
-            if delta == self.strides[i] {
-                self.confidences[i] = self.confidences[i].saturating_add(1);
+    #[inline(always)]
+    fn observe_with(&mut self, pc: Pc, line_addr: u64, l2_miss: bool, mut issue: impl FnMut(u64)) {
+        let Some(i) = self.pcs[..self.len].iter().position(|&p| p == pc.0) else {
+            // Allocate: a free slot while there is one, else the least
+            // recently observed stream's.
+            let slot = if self.len < self.capacity {
+                self.len += 1;
+                self.len - 1
             } else {
-                self.strides[i] = delta;
-                self.confidences[i] = 1;
-            }
-            // Prefetches issue only on demand misses: real prefetchers
-            // are trained continuously but throttle issue, which is what
-            // keeps them from eliminating every streaming miss.
-            if !l2_miss {
-                return;
-            }
-            if self.confidences[i] >= 2 {
-                for k in 1..=self.distance {
-                    let target = line_addr as i64 + self.strides[i] * k as i64;
-                    if target >= 0 {
-                        out.push(target as u64 & !(self.line_size - 1));
-                    }
-                }
-            }
+                let lru = self.newer[HEAD] as usize;
+                self.unlink(lru);
+                lru
+            };
+            self.push_newest(slot);
+            self.pcs[slot] = pc.0;
+            self.streams[slot] = Stream {
+                last_line: line_addr,
+                ..Stream::default()
+            };
             return;
+        };
+        self.unlink(i);
+        self.push_newest(i);
+        let s = &mut self.streams[i];
+        let delta = line_addr as i64 - s.last_line as i64;
+        s.last_line = line_addr;
+        if delta == 0 {
+            return; // same line; no new information
         }
-
-        // Allocate a new stream: the first invalid slot, else the first
-        // least-recently-used one — the order the struct-array
-        // `min_by_key` (invalid keyed 0, stable min) produced.
-        let n = self.pcs.len();
-        let full = if n == 64 { u64::MAX } else { (1 << n) - 1 };
-        let slot = if self.valid != full {
-            (!self.valid).trailing_zeros() as usize
+        if delta == s.stride {
+            s.confidence = s.confidence.saturating_add(1);
         } else {
-            let mut oldest = 0usize;
-            let mut oldest_lru = self.lrus[0];
-            for (i, &lru) in self.lrus.iter().enumerate().skip(1) {
-                if lru < oldest_lru {
-                    oldest_lru = lru;
-                    oldest = i;
+            s.stride = delta;
+            s.confidence = 1;
+        }
+        // Prefetches issue only on demand misses: real prefetchers are
+        // trained continuously but throttle issue, which is what keeps
+        // them from eliminating every streaming miss.
+        if l2_miss && s.confidence >= 2 {
+            for k in 1..=self.distance {
+                let target = line_addr as i64 + s.stride * k as i64;
+                if target >= 0 {
+                    issue(target as u64 & !(self.line_size - 1));
                 }
             }
-            oldest
-        };
-        self.pcs[slot] = pc.0;
-        self.last_lines[slot] = line_addr;
-        self.strides[slot] = 0;
-        self.confidences[slot] = 0;
-        self.lrus[slot] = clock;
-        self.valid |= 1 << slot;
-        self.last_slot = slot;
-    }
-
-    fn reset(&mut self) {
-        self.valid = 0;
-        self.clock = 0;
-        self.last_slot = 0;
+        }
     }
 }
 
@@ -277,17 +263,5 @@ mod tests {
         p.observe(Pc(1), 0x1000, true);
         p.observe(Pc(1), 0xfc0, true);
         assert_eq!(p.observe(Pc(1), 0xf80, true), vec![0xf40]);
-    }
-
-    #[test]
-    fn reset_clears_streams() {
-        let mut p = StridePrefetcher::new(8, 64, 1);
-        p.observe(Pc(1), 0x0, true);
-        p.observe(Pc(1), 0x40, true);
-        p.reset();
-        assert!(
-            p.observe(Pc(1), 0x80, true).is_empty(),
-            "state survived reset"
-        );
     }
 }
