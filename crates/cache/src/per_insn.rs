@@ -55,11 +55,14 @@ const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 #[derive(Clone, Debug, Default)]
 pub struct PerPcStats {
     /// `keys[i]` is an instruction address (or [`NO_PC`]); `vals[i]` its
-    /// counters. Capacity is a power of two; load factor stays below 3/4.
+    /// counters. Capacity is a power of two; load factor stays below 1/2,
+    /// so most lookups end at their first probe: how many probes a lookup
+    /// takes is data-dependent, and every extra one risks a branch
+    /// mispredict on the per-reference path.
     keys: Vec<u64>,
     vals: Vec<PcMissStats>,
     len: usize,
-    /// `len` at which the table grows next (¾ of capacity), precomputed
+    /// `len` at which the table grows next (½ of capacity), precomputed
     /// so the per-reference hot path compares instead of multiplying.
     grow_at: usize,
 }
@@ -100,7 +103,7 @@ impl PerPcStats {
 
     fn grow(&mut self) {
         let cap = (self.keys.len() * 2).max(16);
-        self.grow_at = cap * 3 / 4;
+        self.grow_at = cap / 2;
         let old_keys = std::mem::replace(&mut self.keys, vec![NO_PC; cap]);
         let old_vals = std::mem::replace(&mut self.vals, vec![PcMissStats::default(); cap]);
         let mask = cap - 1;
