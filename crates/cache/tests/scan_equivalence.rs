@@ -118,12 +118,12 @@ fn fifo_victim_choice_is_preserved() {
     random_stream_matches(ReplacementPolicy::Fifo);
 }
 
-/// The MRU fast path must stay coherent when its cached slot is evicted
+/// The MRU line index must stay coherent when that line is evicted
 /// through an aliasing line: hammer two conflicting lines plus repeats.
 #[test]
 fn mru_slot_survives_eviction_aliasing() {
     check(
-        "MRU fast path self-invalidates",
+        "MRU index survives aliasing evictions",
         64,
         |rng: &mut Xoshiro256pp| {
             let mut prod =
